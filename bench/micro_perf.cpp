@@ -507,7 +507,7 @@ void BM_DetectorPrescreenedRead(benchmark::State& state) {
   const DetectorBenchSetup setup;
   const std::unordered_set<const ir::Instruction*> no_race{setup.load,
                                                            setup.store};
-  const race::PrescreenView view{race::PrescreenMode::kOn, &no_race};
+  const race::PrescreenView view{support::AuditMode::kOn, &no_race};
   race::TsanDetector detector(nullptr, false, impl, view);
   constexpr std::uint64_t kAddrs = 256;
   const interp::Address base = 4096;
@@ -783,8 +783,8 @@ void BM_PipelinePredictOn(benchmark::State& state) {
     return machine;
   };
   core::PipelineOptions options;
-  options.predict = state.range(0) == 0 ? race::PredictMode::kOff
-                                        : race::PredictMode::kOn;
+  options.predict = state.range(0) == 0 ? support::AuditMode::kOff
+                                        : support::AuditMode::kOn;
   const core::Pipeline pipeline(options);
   std::size_t remaining = 0;
   std::size_t avoided = 0;

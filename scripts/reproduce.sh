@@ -39,7 +39,7 @@ done
 
 current_step="record BENCH_parallel.json"
 ./build/bench/micro_perf --benchmark_filter='Parallel|RunMany' \
-  --benchmark_out=BENCH_parallel.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_parallel.json --benchmark_out_format=json \
   | tee -a bench_output.txt
 
 # Detection-substrate numbers (impl:0 = reference, impl:1 = fast); the
@@ -49,7 +49,7 @@ current_step="record BENCH_detector.json"
 ./build/bench/micro_perf \
   --benchmark_filter='Detector|ShadowLookup|VectorClockJoin' \
   --benchmark_repetitions=3 \
-  --benchmark_out=BENCH_detector.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_detector.json --benchmark_out_format=json \
   | tee -a bench_output.txt
 
 # Static-analysis engine numbers: Andersen solve time, prescreen
@@ -59,7 +59,7 @@ current_step="record BENCH_static.json"
 ./build/bench/micro_perf \
   --benchmark_filter='Andersen|Prescreen' \
   --benchmark_repetitions=3 \
-  --benchmark_out=BENCH_static.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_static.json --benchmark_out_format=json \
   | tee -a bench_output.txt
 
 # Memory-aware value-flow numbers: graph construction cost and the
@@ -69,14 +69,15 @@ current_step="record BENCH_valueflow.json"
 ./build/bench/micro_perf \
   --benchmark_filter='ValueFlow|VulnFlow' \
   --benchmark_repetitions=3 \
-  --benchmark_out=BENCH_valueflow.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_valueflow.json --benchmark_out_format=json \
   | tee -a bench_output.txt
 
 echo
 echo "Reproduction complete. See EXPERIMENTS.md for the paper-vs-measured"
 echo "record; bench_output.txt holds this run's tables and figures,"
-echo "BENCH_parallel.json the --jobs scaling numbers for this host,"
-echo "BENCH_detector.json the fast-vs-reference detector substrate numbers,"
-echo "BENCH_static.json the static-analysis (points-to/prescreen) numbers,"
-echo "BENCH_valueflow.json the value-flow build/walk numbers,"
-echo "and bench_manifests/ the per-sweep run manifests (DESIGN.md §8)."
+echo "build/BENCH_parallel.json the --jobs scaling numbers for this host,"
+echo "build/BENCH_detector.json the fast-vs-reference detector substrate"
+echo "numbers, build/BENCH_static.json the static-analysis (points-to/"
+echo "prescreen) numbers, build/BENCH_valueflow.json the value-flow build/walk"
+echo "numbers (the committed baselines live in bench/baselines/), and"
+echo "bench_manifests/ the per-sweep run manifests (DESIGN.md §8)."

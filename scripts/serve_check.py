@@ -9,7 +9,9 @@ service-mode claims (DESIGN.md §10):
   differential  every example x detector impl x jobs, cold cache and warm
                 cache: the response's "output" bytes and "exit" status are
                 byte-identical to one-shot owl_cli, and the warm hit
-                reproduces the cold miss (same bytes, same manifest_sha)
+                reproduces the cold miss (same bytes, same manifest_sha);
+                plus one all-features profile per example (every audit,
+                every checker, SARIF, repair)
   shed          overload answers structured rejections (queue_full,
                 client_inflight_exceeded) with a retry hint — admitted
                 requests still complete
@@ -24,8 +26,9 @@ service-mode claims (DESIGN.md §10):
                 concurrent connections, mixed jobs: every response
                 byte-identical to owl_cli, hit/miss/store counters exact
 
---quick runs the ctest-sized subset (2 examples, fast impl, jobs 1, plus
-shed + drain + corrupt) and skips kill9 and the soak.
+--quick runs the ctest-sized subset (2 examples, fast impl, jobs 1, the
+all-features profile, plus shed + drain + corrupt) and skips kill9 and the
+soak.
 """
 
 import argparse
@@ -148,10 +151,27 @@ class Conn:
         return self._recv_match(lambda m: "stats" in m, "stats")["stats"]
 
 
-def run_cli(cli, module, impl="fast", jobs=1):
+# Every analysis feature at once, as owl_cli flags and as daemon options.
+# The CLI's --repair DIR (appended per run) also writes files; the daemon
+# renders the same report without writing.
+ALL_FEATURES_FLAGS = [
+    "--prescreen", "audit", "--predict", "audit", "--vuln-flow", "audit",
+    "--checkers", "all", "--sarif-out", "-",
+]
+ALL_FEATURES_OPTIONS = {
+    "prescreen": "audit",
+    "predict": "audit",
+    "vuln_flow": "audit",
+    "checkers": "all",
+    "sarif": True,
+    "repair": True,
+}
+
+
+def run_cli(cli, module, impl="fast", jobs=1, extra=()):
     """Expected bytes: one-shot owl_cli on the same module and options."""
     result = subprocess.run(
-        [cli, module, "--detector-impl", impl, "--jobs", str(jobs)],
+        [cli, module, "--detector-impl", impl, "--jobs", str(jobs), *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -159,11 +179,11 @@ def run_cli(cli, module, impl="fast", jobs=1):
     return result.stdout, result.returncode
 
 
-def analyze(module, impl="fast", jobs=1, client=None):
+def analyze(module, impl="fast", jobs=1, client=None, extra=None):
     req = {
         "op": "analyze",
         "module_path": module,
-        "options": {"detector_impl": impl, "jobs": jobs},
+        "options": {"detector_impl": impl, "jobs": jobs, **(extra or {})},
     }
     if client is not None:
         req["client"] = client
@@ -211,9 +231,12 @@ def corrupt_cache_dir(cache_dir):
 def phase_differential(cfg, examples, impls, jobs_list):
     """Daemon bytes == owl_cli bytes, cold and warm, every combination."""
     cache_dir = os.path.join(cfg.tmp, "diff-cache")
+    repair_dir = os.path.join(cfg.tmp, "diff-repair")
     daemon = Daemon(cfg.served, cfg.socket, "--cache-dir", cache_dir)
     conn = Conn(cfg.socket)
     cases = 0
+    misses = 0
+    hits = 0
     for module in examples:
         per_jobs = {}
         for impl in impls:
@@ -242,6 +265,8 @@ def phase_differential(cfg, examples, impls, jobs_list):
                 )
                 per_jobs.setdefault(impl, {})[jobs] = cold["output"]
                 cases += 1
+                misses += 1
+                hits += 1
         # Jobs-invariance and impl-invariance through the daemon: every
         # combination must have produced the same report bytes.
         outputs = {
@@ -252,11 +277,32 @@ def phase_differential(cfg, examples, impls, jobs_list):
             f"{os.path.basename(module)}: outputs differ across "
             f"impl/jobs combinations",
         )
+
+        # All-features profile. A response with an audit failure (exit 3)
+        # carries stderr text and is never cached, so its repeat misses.
+        cli_flags = [*ALL_FEATURES_FLAGS, "--repair", repair_dir]
+        expected_out, expected_exit = run_cli(cfg.cli, module, extra=cli_flags)
+        what = f"{os.path.basename(module)} all-features"
+        for attempt in ("cold", "warm"):
+            resp = conn.call(analyze(module, extra=ALL_FEATURES_OPTIONS))
+            expect_identical(resp, expected_out, expected_exit, what)
+            cached = attempt == "warm" and expected_exit == 0
+            want = "hit" if cached else "miss"
+            check(
+                resp.get("cache") == want,
+                f"{what}: {attempt} request was {resp.get('cache')}, "
+                f"want {want}",
+            )
+            if want == "hit":
+                hits += 1
+            else:
+                misses += 1
+        cases += 1
     stats = conn.stats()
     check(
-        stats["cache"]["misses"] == cases and stats["cache"]["hits"] == cases,
+        stats["cache"]["misses"] == misses and stats["cache"]["hits"] == hits,
         f"differential: cache counters {stats['cache']} != "
-        f"{cases} misses + {cases} hits",
+        f"{misses} misses + {hits} hits",
     )
     conn.close()
     daemon.expect_clean_exit("differential")

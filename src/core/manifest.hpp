@@ -33,8 +33,6 @@ struct ManifestTarget {
 /// part of the diffable body; `environment` lines are stripped by diffs.
 using ManifestKv = std::vector<std::pair<std::string, std::string>>;
 
-std::string_view detector_kind_name(DetectorKind kind) noexcept;
-
 /// Low-level renderer: full control over the option/environment echo.
 /// Embeds the global MetricsRegistry snapshot (behavioral in the body,
 /// wall-clock under "environment").

@@ -133,6 +133,26 @@ class StageTimer {
 
 }  // namespace
 
+std::string_view detector_kind_name(DetectorKind kind) noexcept {
+  switch (kind) {
+    case DetectorKind::kTsan: return "tsan";
+    case DetectorKind::kSki: return "ski";
+    case DetectorKind::kAtomicity: return "atomicity";
+  }
+  return "unknown";
+}
+
+bool parse_detector_kind(std::string_view text, DetectorKind& out) noexcept {
+  for (const DetectorKind kind :
+       {DetectorKind::kTsan, DetectorKind::kSki, DetectorKind::kAtomicity}) {
+    if (text == detector_kind_name(kind)) {
+      out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::size_t PipelineResult::confirmed_attacks() const noexcept {
   std::size_t n = 0;
   for (const ConcurrencyAttack& attack : attacks) {
@@ -144,7 +164,7 @@ std::size_t PipelineResult::confirmed_attacks() const noexcept {
 std::vector<race::RaceReport> Pipeline::detect_once(
     const PipelineTarget& target, const race::AnnotationSet* annotations,
     race::PrescreenView prescreen, std::uint64_t base_seed,
-    support::Budget& budget, StageCounts& counts,
+    support::Budget& budget, PipelineResult& result,
     race::predict::TraceRecorder* recorder,
     FlowAuditRecorder* flow_audit) const {
   FaultInjector* injector = options_.fault_injector;
@@ -155,7 +175,7 @@ std::vector<race::RaceReport> Pipeline::detect_once(
   if (recorder != nullptr) recorder->begin_pass(annotations);
   for (unsigned i = 0; i < target.detection_schedules; ++i) {
     if (const auto cause = budget.exhausted_by()) {
-      record_failure(counts, PipelineStage::kDetection, *cause,
+      record_failure(result.counts, PipelineStage::kDetection, *cause,
                      str_format("%u of %u schedules skipped",
                                 target.detection_schedules - i,
                                 target.detection_schedules),
@@ -216,6 +236,10 @@ std::vector<race::RaceReport> Pipeline::detect_once(
     const interp::RunResult run = machine->run(*scheduler);
     if (recorder != nullptr) recorder->finish_run(*machine);
     budget.charge_steps(run.steps);
+    // Read before take_reports(), which flushes the counters to the
+    // metrics registry and zeroes them.
+    result.audit.prescreen +=
+        detector->substrate_counters().prescreen_audit_violations;
     race::merge_reports(merged, detector->take_reports());
   }
   return merged;
@@ -223,11 +247,12 @@ std::vector<race::RaceReport> Pipeline::detect_once(
 
 std::optional<std::vector<race::RaceReport>> Pipeline::detect(
     const PipelineTarget& target, const race::AnnotationSet* annotations,
-    race::PrescreenView prescreen, StageCounts& counts,
+    race::PrescreenView prescreen, PipelineResult& result,
     race::predict::TraceRecorder* recorder,
     FlowAuditRecorder* flow_audit) const {
   FaultInjector* injector = options_.fault_injector;
   const support::RetryPolicy& retry = options_.retry;
+  StageCounts& counts = result.counts;
   for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
     if (injector != nullptr) {
       injector->begin_stage(PipelineStage::kDetection);
@@ -238,7 +263,7 @@ std::optional<std::vector<race::RaceReport>> Pipeline::detect(
       if (injector != nullptr) injector->maybe_throw();
       std::vector<race::RaceReport> merged = detect_once(
           target, annotations, prescreen,
-          retry.seed_for(target.seed, attempt), budget, counts, recorder,
+          retry.seed_for(target.seed, attempt), budget, result, recorder,
           flow_audit);
       counts.retries_used += attempt;
       attribute_injected(injector, counts, PipelineStage::kDetection);
@@ -282,7 +307,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     module_static.emplace(*target.module);
   }
   race::PrescreenView prescreen;
-  if (options_.prescreen != race::PrescreenMode::kOff &&
+  if (options_.prescreen != support::AuditMode::kOff &&
       module_static.has_value() &&
       module_static->prescreen.pruning_enabled()) {
     prescreen.mode = options_.prescreen;
@@ -303,7 +328,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     TRACE_SPAN("checkers", target.name);
     const StageTimer timer(options_.stage_timings, "checkers");
     if (injector != nullptr) injector->begin_stage(PipelineStage::kCheckers);
-    result.checkers_ran = true;
     result.counts.checkers_ran = true;
     try {
       if (injector != nullptr) injector->maybe_throw();
@@ -325,7 +349,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // Built only when the mode asks for it: off-mode runs never construct
   // the graph, never emit its metrics, and stay byte-identical.
   std::optional<analysis::ValueFlowGraph> value_flow;
-  if (options_.vuln_flow != analysis::ValueFlowMode::kOff &&
+  if (options_.vuln_flow != support::AuditMode::kOff &&
       target.module != nullptr && module_static.has_value()) {
     TRACE_SPAN("value-flow", target.name);
     const StageTimer timer(options_.stage_timings, "value-flow");
@@ -334,7 +358,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   }
   FlowAuditRecorder flow_recorder;
   FlowAuditRecorder* flow_audit =
-      options_.vuln_flow == analysis::ValueFlowMode::kAudit &&
+      options_.vuln_flow == support::AuditMode::kAudit &&
               value_flow.has_value()
           ? &flow_recorder
           : nullptr;
@@ -343,7 +367,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // every detection pass; only the last pass's traces survive, so the
   // predictor reasons over exactly the executions that produced `reduced`.
   // Atomicity targets are out of SP theory's scope and never record.
-  const bool predict_active = options_.predict != race::PredictMode::kOff &&
+  const bool predict_active = options_.predict != support::AuditMode::kOff &&
                               target.detector != DetectorKind::kAtomicity &&
                               target.module != nullptr;
   race::predict::TraceRecorder trace_recorder;
@@ -355,8 +379,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   {
     TRACE_SPAN("detection", target.name);
     const StageTimer timer(options_.stage_timings, "detection");
-    raw = detect(target, nullptr, prescreen, result.counts, recorder,
-                 flow_audit)
+    raw = detect(target, nullptr, prescreen, result, recorder, flow_audit)
               .value_or(std::vector<race::RaceReport>{});
   }
   result.counts.raw_reports = raw.size();
@@ -375,7 +398,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
         reduced = std::move(raw);
       } else {
         reduced = detect(target, options_.preset_annotations, prescreen,
-                         result.counts, recorder, flow_audit)
+                         result, recorder, flow_audit)
                       .value_or(raw);  // degraded re-run: keep raw reports
       }
     } else if (options_.enable_adhoc_annotation) {
@@ -389,8 +412,8 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
       }
       if (outcome.has_value() && !outcome->annotations.empty()) {
         result.counts.adhoc_syncs = outcome->unique_adhoc_syncs;
-        reduced = detect(target, &outcome->annotations, prescreen,
-                         result.counts, recorder, flow_audit)
+        reduced = detect(target, &outcome->annotations, prescreen, result,
+                         recorder, flow_audit)
                       .value_or(raw);  // degraded re-run: keep raw reports
       } else {
         if (outcome.has_value()) {
@@ -422,7 +445,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     TRACE_SPAN("predict", target.name);
     const StageTimer timer(options_.stage_timings, "predict");
     if (injector != nullptr) injector->begin_stage(PipelineStage::kPredict);
-    result.predict_ran = true;
     result.counts.predict_ran = true;
     try {
       if (injector != nullptr) injector->maybe_throw();
@@ -436,7 +458,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     }
     if (predict_outcome.has_value()) {
       result.counts.predict_candidates = predict_outcome->candidates;
-      if (options_.predict == race::PredictMode::kOn) {
+      if (options_.predict == support::AuditMode::kOn) {
         std::vector<race::RaceReport> kept;
         kept.reserve(reduced.size() + predict_outcome->predicted_new.size());
         for (race::RaceReport& report : reduced) {
@@ -591,7 +613,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   } else {
     // Without the verifier there is no replay confirmation, so predicted
     // candidates are dropped rather than reported as observations.
-    if (result.predict_ran) {
+    if (result.counts.predict_ran) {
       survivors.reserve(reduced.size());
       for (race::RaceReport& report : reduced) {
         if (!report.predicted) survivors.push_back(std::move(report));
@@ -608,34 +630,34 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
 
   // Audit cross-check: a replay-confirmed data race the predictor called
   // infeasible falsifies the pruning verdict — with --predict on that race
-  // would have been lost. Advisory counter; the CLI and serve executor
-  // turn a non-zero count into exit 3.
-  if (options_.predict == race::PredictMode::kAudit &&
+  // would have been lost. A non-zero count exits 3 from owl_cli and
+  // owl_served.
+  if (options_.predict == support::AuditMode::kAudit &&
       predict_outcome.has_value()) {
-    std::uint64_t violations = 0;
     for (const race::RaceReport& report :
          result.store.stage(Stage::kAfterRaceVerifier)) {
       if (report.kind == race::ReportKind::kDataRace && report.verified &&
           predict_outcome->verdict_for(report.key()) ==
               race::predict::Feasibility::kInfeasible) {
-        ++violations;
+        ++result.audit.predict;
       }
     }
-    support::metrics().advisory("predict.audit_violations").inc(violations);
+    support::metrics().advisory("predict.audit_violations")
+        .inc(result.audit.predict);
   }
 
   // Flow-audit cross-check: every store→load dependence the detection
   // schedules actually exhibited must be explained by a static mem edge
   // (or flagged unknown on either side). An uncovered pair means the
   // value-flow graph would have missed a real memory-mediated propagation
-  // — a soundness violation. Advisory counter; the CLI and serve executor
-  // turn a non-zero count into exit 3, mirroring --prescreen audit.
+  // — a soundness violation. A non-zero count exits 3, like the
+  // prescreen and predict audits.
   if (flow_audit != nullptr) {
-    std::uint64_t violations = 0;
     for (const auto& [writer, reader] : flow_recorder.pairs()) {
-      if (!value_flow->covers(writer, reader)) ++violations;
+      if (!value_flow->covers(writer, reader)) ++result.audit.vuln_flow;
     }
-    support::metrics().advisory("vulnflow.audit_violations").inc(violations);
+    support::metrics().advisory("vulnflow.audit_violations")
+        .inc(result.audit.vuln_flow);
   }
 
   // ---- step (4): static vulnerability analysis (Algorithm 1) ----
@@ -799,7 +821,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     TRACE_SPAN("repair", target.name);
     const StageTimer timer(options_.stage_timings, "repair");
     if (injector != nullptr) injector->begin_stage(PipelineStage::kRepair);
-    result.repair_ran = true;
     result.counts.repair_ran = true;
     std::vector<race::RaceReport> confirmed;
     for (const race::RaceReport& report :
@@ -850,13 +871,13 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     registry.counter("pipeline.attacks.confirmed")
         .inc(result.confirmed_attacks());
     registry.counter("pipeline.retries").inc(result.counts.retries_used);
-    if (result.checkers_ran) {
+    if (result.counts.checkers_ran) {
       // Registered only when the stage ran: the metrics snapshot in the
       // manifest stays byte-identical to pre-suite runs with checkers off.
       registry.counter("pipeline.checker_findings")
           .inc(result.checker_findings.size());
     }
-    if (result.predict_ran) {
+    if (result.counts.predict_ran) {
       // Same gating: predict-off snapshots carry no predict keys at all.
       registry.counter("predict.candidates")
           .inc(result.counts.predict_candidates);
@@ -867,7 +888,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
             .inc(predict_outcome->closure_iterations);
       }
     }
-    if (result.repair_ran) {
+    if (result.counts.repair_ran) {
       // Same gating: repair-off snapshots carry no repair keys at all.
       registry.counter("repair.candidates_tried")
           .inc(result.counts.repair_candidates);
@@ -961,14 +982,14 @@ std::string serialize_result(const PipelineResult& result) {
   std::string out = "=== target " + result.target_name + " ===\n";
   out += result.counts.serialize();
   out += result.store.canonical_dump();
-  if (result.checkers_ran) {
+  if (result.counts.checkers_ran) {
     out += str_format("[checker findings %zu]\n",
                       result.checker_findings.size());
     for (const checkers::BugReport& report : result.checker_findings) {
       out += report.to_string();
     }
   }
-  if (result.repair_ran) {
+  if (result.counts.repair_ran) {
     // The patched module is folded in as a size + FNV-1a digest: repeat
     // runs and jobs=1-vs-N runs must synthesize byte-identical fixes, and
     // this pins that without dumping whole modules into the diff.

@@ -17,17 +17,18 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "checkers/checker.hpp"
 #include "core/attack.hpp"
 #include "core/report_store.hpp"
 #include "analysis/value_flow.hpp"
-#include "race/predict/predict_mode.hpp"
 #include "race/predict/trace_recorder.hpp"
 #include "race/prescreen_view.hpp"
 #include "race/ski_detector.hpp"
 #include "repair/report.hpp"
+#include "support/audit_mode.hpp"
 #include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
 #include "support/retry.hpp"
@@ -49,6 +50,10 @@ enum class DetectorKind {
   kSki,        ///< schedule exploration + watch lists (kernels)
   kAtomicity,  ///< unserializable interleavings (§8.3's CTrigger extension)
 };
+
+/// The --detector vocabulary: "tsan" | "ski" | "atomicity".
+std::string_view detector_kind_name(DetectorKind kind) noexcept;
+bool parse_detector_kind(std::string_view text, DetectorKind& out) noexcept;
 
 /// What the pipeline runs against. Workloads (src/workloads) produce these.
 struct PipelineTarget {
@@ -108,24 +113,23 @@ struct PipelineOptions {
   /// (DESIGN.md §9). kOff (default) skips nothing; kOn prunes shadow work
   /// for accesses the whole-module analysis proved race-free; kAudit runs
   /// full detection and counts pruned-but-raced soundness violations
-  /// (advisory counter prescreen.audit_violations — must stay zero).
-  race::PrescreenMode prescreen = race::PrescreenMode::kOff;
+  /// (PipelineResult::audit.prescreen — must stay zero).
+  support::AuditMode prescreen = support::AuditMode::kOff;
   /// Sync-preserving race prediction (DESIGN.md §12). kOff (default)
   /// changes nothing; kOn hands the race verifier only predicted-feasible
   /// candidates plus replay-confirmed predicted races the observed
   /// schedules never exhibited; kAudit keeps the exhaustive path and
   /// cross-checks the predictor's verdicts against what the verifier
-  /// confirmed (advisory counter predict.audit_violations — must stay
-  /// zero).
-  race::PredictMode predict = race::PredictMode::kOff;
+  /// confirmed (PipelineResult::audit.predict — must stay zero).
+  support::AuditMode predict = support::AuditMode::kOff;
   /// Memory-aware value flow for Algorithm 1 (DESIGN.md §14). kOff
   /// (default) keeps the register-only walk, byte-identical everywhere;
   /// kOn builds the module value-flow graph and extends the walk across
   /// store→load may-alias edges; kAudit additionally records every
   /// runtime store→load dependence the detection schedules exhibit and
-  /// cross-checks it against the static edge set (advisory counter
-  /// vulnflow.audit_violations — must stay zero).
-  analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
+  /// cross-checks it against the static edge set
+  /// (PipelineResult::audit.vuln_flow — must stay zero).
+  support::AuditMode vuln_flow = support::AuditMode::kOff;
   bool enable_race_verifier = true;     ///< off for kernels (paper §8.3)
   bool enable_vuln_verifier = true;
   unsigned race_verifier_attempts = 3;
@@ -194,15 +198,16 @@ struct PipelineResult {
   /// Checker-suite findings (empty unless checkers were enabled), sorted
   /// into BugReportMgr's deterministic order.
   std::vector<checkers::BugReport> checker_findings;
-  /// True when the checker stage ran — rendering keys off this, not off
-  /// findings being non-empty, so "ran and found nothing" is visible.
-  bool checkers_ran = false;
-  /// True when the predict stage ran (same gating idiom as checkers_ran).
-  bool predict_ran = false;
   /// Repair-stage outcome (status empty unless the stage ran).
   repair::RepairReport repair;
-  /// True when the repair stage ran (same gating idiom as checkers_ran).
-  bool repair_ran = false;
+  /// Soundness violations each audit mode found on this target; zero
+  /// unless the matching option is kAudit. The exit-3 verdict is computed
+  /// from these, so it holds for any number of runs in one process.
+  struct AuditViolations {
+    std::uint64_t prescreen = 0;  ///< pruned-but-raced accesses
+    std::uint64_t predict = 0;    ///< verified races called infeasible
+    std::uint64_t vuln_flow = 0;  ///< runtime store->load pairs unexplained
+  } audit;
   double total_seconds = 0.0;
 
   /// Attacks with a realized security consequence.
@@ -243,13 +248,14 @@ class Pipeline {
  private:
   /// Steps (1)/(2): run the configured detector over N schedules under the
   /// detection budget, retrying per policy on a thrown fault. Failures are
-  /// recorded on `counts`; nullopt means every attempt failed (the caller
+  /// recorded on `result.counts` and prescreen audit violations on
+  /// `result.audit`; nullopt means every attempt failed (the caller
   /// picks the fallback: empty for step (1), the raw reports for step (2)).
   /// `recorder`, when non-null, captures each schedule's event trace for
   /// the predict stage (only the final pass's traces are kept).
   std::optional<std::vector<race::RaceReport>> detect(
       const PipelineTarget& target, const race::AnnotationSet* annotations,
-      race::PrescreenView prescreen, StageCounts& counts,
+      race::PrescreenView prescreen, PipelineResult& result,
       race::predict::TraceRecorder* recorder,
       FlowAuditRecorder* flow_audit) const;
 
@@ -257,7 +263,7 @@ class Pipeline {
   std::vector<race::RaceReport> detect_once(
       const PipelineTarget& target, const race::AnnotationSet* annotations,
       race::PrescreenView prescreen, std::uint64_t base_seed,
-      support::Budget& budget, StageCounts& counts,
+      support::Budget& budget, PipelineResult& result,
       race::predict::TraceRecorder* recorder,
       FlowAuditRecorder* flow_audit) const;
 

@@ -32,6 +32,9 @@ struct StageCounts {
   /// only when `checkers_ran` — the counters line stays byte-identical
   /// to pre-suite output whenever the checkers are off.
   std::size_t checker_findings = 0;
+  /// True when the stage ran. Every output surface (counters, rendering,
+  /// manifest, metrics) keys off these *_ran flags, not off results being
+  /// non-empty, so "ran and found nothing" is visible.
   bool checkers_ran = false;
 
   // --- sync-preserving prediction (DESIGN.md §12) ---

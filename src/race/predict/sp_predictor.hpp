@@ -38,10 +38,17 @@
 
 #include "race/predict/trace_recorder.hpp"
 #include "race/report.hpp"
+#include "support/audit_mode.hpp"
 
 namespace owl::ir {
 class Module;
 }  // namespace owl::ir
+
+namespace owl::race {
+/// Former name of --predict's switch (support/audit_mode.hpp), kept for
+/// code written against it.
+using PredictMode = support::AuditMode;
+}  // namespace owl::race
 
 namespace owl::race::predict {
 

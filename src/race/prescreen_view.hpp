@@ -8,8 +8,9 @@
 // nevertheless participated in a race (soundness violations — must be zero).
 #pragma once
 
-#include <string_view>
 #include <unordered_set>
+
+#include "support/audit_mode.hpp"
 
 namespace owl::ir {
 class Instruction;
@@ -17,40 +18,20 @@ class Instruction;
 
 namespace owl::race {
 
-enum class PrescreenMode {
-  kOff,    ///< prescreen not consulted (default)
-  kOn,     ///< prune shadow work for no-race accesses
-  kAudit,  ///< full detection plus pruned-but-raced violation counting
-};
-
-inline std::string_view prescreen_mode_name(PrescreenMode mode) noexcept {
-  switch (mode) {
-    case PrescreenMode::kOff: return "off";
-    case PrescreenMode::kOn: return "on";
-    case PrescreenMode::kAudit: return "audit";
-  }
-  return "?";
-}
-
-inline bool parse_prescreen_mode(std::string_view text,
-                                 PrescreenMode& out) noexcept {
-  if (text == "off") { out = PrescreenMode::kOff; return true; }
-  if (text == "on") { out = PrescreenMode::kOn; return true; }
-  if (text == "audit") { out = PrescreenMode::kAudit; return true; }
-  return false;
-}
+/// Former name of the prescreen's switch, kept for code written against it.
+using PrescreenMode = support::AuditMode;
 
 /// What a detector needs from the prescreen. Default-constructed views are
 /// inert (mode off, no set), so existing call sites need no changes.
 struct PrescreenView {
-  PrescreenMode mode = PrescreenMode::kOff;
+  support::AuditMode mode = support::AuditMode::kOff;
   /// Instructions whose plain accesses are statically race-free. Owned by
   /// the pipeline's ModuleStatic; must outlive the detector. May be nullptr
   /// only when mode is kOff.
   const std::unordered_set<const ir::Instruction*>* no_race = nullptr;
 
   bool active() const noexcept {
-    return mode != PrescreenMode::kOff && no_race != nullptr;
+    return mode != support::AuditMode::kOff && no_race != nullptr;
   }
   bool no_race_instr(const ir::Instruction* instr) const noexcept {
     return no_race->find(instr) != no_race->end();

@@ -91,7 +91,7 @@ void TsanDetector::ref_on_access(const Access& access,
   // from any address that can race or sit on a watch list (DESIGN.md §9).
   if (prescreen_hit(access.instr, access.addr)) {
     ++counters_.prescreen_pruned;
-    if (prescreen_.mode == PrescreenMode::kOn) return;
+    if (prescreen_.mode == support::AuditMode::kOn) return;
   }
 
   const AccessRecord rec = make_record(access, machine);
@@ -256,7 +256,7 @@ void TsanDetector::fast_on_access(const Access& access,
   // matching comment in ref_on_access for the soundness argument).
   if (prescreen_hit(access.instr, access.addr)) {
     ++counters_.prescreen_pruned;
-    if (prescreen_.mode == PrescreenMode::kOn) return;
+    if (prescreen_.mode == support::AuditMode::kOn) return;
   }
 
   ShadowSlot& slot = fast_shadow_.slot(access.addr);
@@ -398,7 +398,7 @@ void TsanDetector::record_race(const AccessRecord& prior,
   ++dynamic_races_;
   // Audit mode runs full detection; an access the prescreen would have
   // pruned showing up in a race falsifies the static no-race verdict.
-  if (prescreen_.mode == PrescreenMode::kAudit) {
+  if (prescreen_.mode == support::AuditMode::kAudit) {
     if (prescreen_hit(prior.instr, prior.addr)) {
       ++counters_.prescreen_audit_violations;
     }
@@ -440,7 +440,7 @@ void TsanDetector::feed_watchers(const AccessRecord& read) {
   if (it == watched_.end()) return;
   // A pruned read feeding a watched report would have been dropped in kOn
   // mode and changed the report — count that as a violation too.
-  if (prescreen_.mode == PrescreenMode::kAudit &&
+  if (prescreen_.mode == support::AuditMode::kAudit &&
       prescreen_hit(read.instr, read.addr)) {
     ++counters_.prescreen_audit_violations;
   }

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,6 +44,17 @@ enum class DetectorImpl {
   kFast,
   kReference,
 };
+
+/// The --detector-impl vocabulary: "fast" | "reference".
+inline std::string_view detector_impl_name(DetectorImpl impl) noexcept {
+  return impl == DetectorImpl::kFast ? "fast" : "reference";
+}
+inline bool parse_detector_impl(std::string_view text,
+                                DetectorImpl& out) noexcept {
+  if (text == "fast") { out = DetectorImpl::kFast; return true; }
+  if (text == "reference") { out = DetectorImpl::kReference; return true; }
+  return false;
+}
 
 /// Hash for the (min instruction id, max instruction id) report key — the
 /// report index is a flat hash instead of an ordered map; take_reports'

@@ -130,8 +130,8 @@ bool gate_race_free(const core::PipelineTarget& target,
                     const core::PipelineOptions& session,
                     const std::shared_ptr<ir::Module>& patched,
                     const race::MachineFactory& patched_factory) {
-  for (const race::PredictMode mode :
-       {race::PredictMode::kOff, race::PredictMode::kOn}) {
+  for (const support::AuditMode mode :
+       {support::AuditMode::kOff, support::AuditMode::kOn}) {
     core::PipelineOptions options;
     options.enable_adhoc_annotation = session.enable_adhoc_annotation;
     options.detector_impl = session.detector_impl;

@@ -1,28 +1,35 @@
-// Per-request analysis execution for the serve layer (DESIGN.md §10).
+// The analysis request path shared by owl_cli and owl_served (DESIGN.md
+// §10).
 //
-// One Executor::run() is the in-process twin of one `owl_cli <module>
-// [flags]` invocation: same module loading, same pipeline wiring (PR 1
-// budgets/retries, PR 2 ThreadPool for --jobs verifier sharding, PR 3/5
-// substrate and prescreen options), same rendering (core/render.hpp), same
-// exit-code contract — so the returned output/exit are byte-identical to
-// the one-shot CLI by construction, which is what the differential gate
-// verifies end to end.
+// Both front ends reach the pipeline through the same three functions:
+// wire_request turns (module text, display name, AnalysisOptions) into a
+// PipelineTarget and PipelineOptions (load, verify, entry lookup, machine
+// factories, every option), render_output turns results into owl_cli's
+// stdout bytes, and audit_exit_code turns results into the exit-3 verdict
+// and its stderr lines. Executor::run is one `owl_cli <module> [flags]`
+// invocation; owl_cli adds only its multi-target seed stream, the --jobs
+// fan-out and its file sinks. The returned output/exit are therefore
+// byte-identical to the one-shot CLI by construction, which the
+// differential gate (scripts/serve_check.py) verifies end to end.
 //
-// Isolation: every run builds its module, machines, detectors, and
-// pipeline from scratch, and the process-wide MetricsRegistry is reset()
-// at entry — a request observes exactly the state a fresh owl_cli process
-// would. That reset is also why the daemon executes requests one at a time
-// (the executor is owned and driven by a single ServiceCore thread):
-// serialized execution is a *correctness* choice — it is what makes every
-// response reproducible and the audit exit path well-defined — while
-// throughput comes from the result cache and per-request --jobs
-// parallelism, not from interleaving analyses that share process globals.
+// Isolation: every run builds its module, machines, detectors and pipeline
+// from scratch, and the audit verdict is read from the run's own results.
+// Only the manifest still depends on process state: it embeds the
+// process-wide MetricsRegistry snapshot, so run() reset()s the registry at
+// entry and a request's manifest sees exactly what a fresh owl_cli process
+// would. That reset is why the daemon executes requests one at a time (the
+// executor is owned and driven by a single ServiceCore thread): throughput
+// comes from the result cache and per-request --jobs parallelism, not from
+// interleaving analyses that share the registry.
 #pragma once
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "support/fault_injector.hpp"
+#include "support/thread_pool.hpp"
 
 namespace owl::serve {
 
@@ -35,6 +42,38 @@ struct ExecResult {
   std::string error;      ///< owl_cli stderr bytes (load errors, audit note)
   std::string manifest;   ///< environment-stripped run manifest (JSON)
 };
+
+/// One module wired for core::Pipeline, or the load failure that stopped
+/// it.
+struct WiredRequest {
+  int exit_code = 0;  ///< owl_cli exit contract: 1 parse/entry, 2 verify
+  std::string error;  ///< the owl_cli stderr line when exit_code != 0
+  std::shared_ptr<ir::Module> module;  ///< owns what target.module points to
+  core::PipelineTarget target;
+  /// Every analysis option applied; tool "owl_cli", jobs 1, no fault
+  /// injector, timings or manifest path (callers add their own).
+  core::PipelineOptions pipeline;
+  /// Shards the race verifier over options.jobs workers when jobs > 1;
+  /// pipeline.verifier_pool points into it.
+  std::unique_ptr<support::ThreadPool> verifier_pool;
+};
+
+/// Parses, verifies and wires one module. Never throws; a failure comes
+/// back as exit_code/error with the bytes owl_cli prints.
+WiredRequest wire_request(const std::string& module_text,
+                          const std::string& display_name,
+                          const AnalysisOptions& options);
+
+/// owl_cli's stdout after the load phase: every summary, then every
+/// target's details unless quiet, then the SARIF log when options.sarif.
+std::string render_output(const std::vector<core::PipelineResult>& results,
+                          const AnalysisOptions& options);
+
+/// The audit part of owl_cli's exit contract, from the results alone: 3
+/// when an audit-mode option found soundness violations (one stderr line
+/// per violated audit appended to `error`), else 0.
+int audit_exit_code(const std::vector<core::PipelineResult>& results,
+                    const AnalysisOptions& options, std::string& error);
 
 class Executor {
  public:

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include "core/manifest.hpp"
-#include "race/prescreen_view.hpp"
 #include "support/strings.hpp"
 
 namespace owl::serve {
@@ -53,46 +52,26 @@ bool AnalysisOptions::from_json(const JsonValue& value, AnalysisOptions& out,
     } else if (key == "exploit_inputs") {
       if (!read_word_list(field, out.exploit_inputs)) return bad(key);
     } else if (key == "detector") {
-      if (!field.is_string()) return bad(key);
-      const std::string& name = field.as_string();
-      if (name == "tsan") {
-        out.detector = core::DetectorKind::kTsan;
-      } else if (name == "ski") {
-        out.detector = core::DetectorKind::kSki;
-      } else if (name == "atomicity") {
-        out.detector = core::DetectorKind::kAtomicity;
-      } else {
+      if (!field.is_string() ||
+          !core::parse_detector_kind(field.as_string(), out.detector)) {
         return bad(key);
       }
     } else if (key == "detector_impl") {
-      if (!field.is_string()) return bad(key);
-      const std::string& name = field.as_string();
-      if (name == "fast") {
-        out.detector_impl = race::DetectorImpl::kFast;
-      } else if (name == "reference") {
-        out.detector_impl = race::DetectorImpl::kReference;
-      } else {
+      if (!field.is_string() ||
+          !race::parse_detector_impl(field.as_string(), out.detector_impl)) {
         return bad(key);
       }
-    } else if (key == "prescreen") {
+    } else if (key == "prescreen" || key == "predict" || key == "vuln_flow") {
+      support::AuditMode& mode = key == "prescreen" ? out.prescreen
+                                 : key == "predict" ? out.predict
+                                                    : out.vuln_flow;
       if (!field.is_string() ||
-          !race::parse_prescreen_mode(field.as_string(), out.prescreen)) {
-        return bad(key);
-      }
-    } else if (key == "predict") {
-      if (!field.is_string() ||
-          !race::parse_predict_mode(field.as_string(), out.predict)) {
-        return bad(key);
-      }
-    } else if (key == "vuln_flow") {
-      if (!field.is_string() ||
-          !analysis::parse_value_flow_mode(field.as_string(),
-                                           out.vuln_flow)) {
+          !support::parse_audit_mode(field.as_string(), mode)) {
         return bad(key);
       }
     } else if (key == "schedules") {
       std::uint64_t n = 0;
-      if (!read_uint(field, n) || n == 0 || n > 1u << 20) return bad(key);
+      if (!read_uint(field, n) || n == 0 || n > kMaxSchedules) return bad(key);
       out.schedules = static_cast<unsigned>(n);
     } else if (key == "seed") {
       if (!field.is_int()) return bad(key);
@@ -127,11 +106,11 @@ bool AnalysisOptions::from_json(const JsonValue& value, AnalysisOptions& out,
       out.stage_deadline = field.as_double();
     } else if (key == "retries") {
       std::uint64_t n = 0;
-      if (!read_uint(field, n) || n > 1000) return bad(key);
+      if (!read_uint(field, n) || n > kMaxRetries) return bad(key);
       out.retries = static_cast<unsigned>(n);
     } else if (key == "jobs") {
       std::uint64_t n = 0;
-      if (!read_uint(field, n) || n > 256) return bad(key);
+      if (!read_uint(field, n) || n > kMaxJobs) return bad(key);
       out.jobs = static_cast<unsigned>(n);
     } else if (key == "checkers") {
       std::string checker_error;
@@ -170,16 +149,16 @@ std::string AnalysisOptions::canonical_blob(
   out += core::detector_kind_name(detector);
   out += "\n";
   out += "detector_impl=";
-  out += detector_impl == race::DetectorImpl::kFast ? "fast" : "reference";
+  out += race::detector_impl_name(detector_impl);
   out += "\n";
   out += "prescreen=";
-  out += race::prescreen_mode_name(prescreen);
+  out += support::audit_mode_name(prescreen);
   out += "\n";
   out += "predict=";
-  out += race::predict_mode_name(predict);
+  out += support::audit_mode_name(predict);
   out += "\n";
   out += "vuln_flow=";
-  out += analysis::value_flow_mode_name(vuln_flow);
+  out += support::audit_mode_name(vuln_flow);
   out += "\n";
   out += str_format("schedules=%u\n", schedules);
   out += str_format("seed=%llu\n", static_cast<unsigned long long>(seed));
@@ -306,14 +285,13 @@ std::string serialize_request(const Request& request) {
   out += ",\"exploit_inputs\":" + words_json(opt.exploit_inputs);
   out += ",\"detector\":" +
          json_quote(core::detector_kind_name(opt.detector));
-  out += ",\"detector_impl\":";
-  out += opt.detector_impl == race::DetectorImpl::kFast ? "\"fast\""
-                                                        : "\"reference\"";
+  out += ",\"detector_impl\":" +
+         json_quote(race::detector_impl_name(opt.detector_impl));
   out += ",\"prescreen\":" +
-         json_quote(race::prescreen_mode_name(opt.prescreen));
-  out += ",\"predict\":" + json_quote(race::predict_mode_name(opt.predict));
+         json_quote(support::audit_mode_name(opt.prescreen));
+  out += ",\"predict\":" + json_quote(support::audit_mode_name(opt.predict));
   out += ",\"vuln_flow\":" +
-         json_quote(analysis::value_flow_mode_name(opt.vuln_flow));
+         json_quote(support::audit_mode_name(opt.vuln_flow));
   out += str_format(",\"schedules\":%u", opt.schedules);
   out += str_format(",\"seed\":%lld", static_cast<long long>(opt.seed));
   out += str_format(",\"max_steps\":%llu",

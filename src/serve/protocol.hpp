@@ -47,19 +47,26 @@
 
 namespace owl::serve {
 
-/// Per-request analysis options — the service mirror of owl_cli's flags
-/// (only the analysis-behavioral ones; process concerns like --trace-out
-/// stay CLI-only). Defaults match owl_cli exactly, so an empty options
-/// object means "what owl_cli does with no flags".
+/// Caps on the numeric options that size work, enforced by both parsers
+/// (owl_cli's flags and the daemon's JSON): outside input must not pick an
+/// unbounded thread count, retry loop or schedule sweep.
+inline constexpr unsigned kMaxJobs = 256;
+inline constexpr unsigned kMaxRetries = 1000;
+inline constexpr unsigned kMaxSchedules = 1u << 20;
+
+/// Per-request analysis options: what owl_cli's analysis flags and the
+/// daemon's "options" object both parse into (process concerns like
+/// --trace-out stay CLI-only). Defaults match owl_cli with no flags, so an
+/// empty options object means "what owl_cli does with no flags".
 struct AnalysisOptions {
   std::string entry = "main";
   std::vector<std::int64_t> inputs;
   std::vector<std::int64_t> exploit_inputs;  ///< empty = same as inputs
   core::DetectorKind detector = core::DetectorKind::kTsan;
   race::DetectorImpl detector_impl = race::DetectorImpl::kFast;
-  race::PrescreenMode prescreen = race::PrescreenMode::kOff;
-  race::PredictMode predict = race::PredictMode::kOff;
-  analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
+  support::AuditMode prescreen = support::AuditMode::kOff;
+  support::AuditMode predict = support::AuditMode::kOff;
+  support::AuditMode vuln_flow = support::AuditMode::kOff;
   unsigned schedules = 4;
   std::uint64_t seed = 1;
   std::uint64_t max_steps = 400'000;
@@ -73,15 +80,15 @@ struct AnalysisOptions {
   double stage_deadline = 0.0;  ///< 0 = unlimited
   unsigned retries = 2;
   unsigned jobs = 1;  ///< intra-request parallelism (verifier sharding)
-  /// Concurrency checker suite selection (mirror of --checkers); stored
+  /// Concurrency checker suite selection (--checkers); stored
   /// parsed so canonical_blob hashes the canonical spelling, not whatever
   /// comma order the client typed.
   checkers::CheckerOptions checkers;
-  /// Mirror of `--sarif-out -`: append the SARIF 2.1.0 log to the output.
+  /// `--sarif-out -`: append the SARIF 2.1.0 log to the output.
   bool sarif = false;
-  /// Mirror of `--repair DIR` minus the DIR: the repair stage runs and its
-  /// path-independent report renders into the output; the daemon never
-  /// writes fixed-module files (that emission is CLI-only).
+  /// `--repair DIR` minus the DIR: the repair stage runs and its
+  /// path-independent report renders into the output; only owl_cli writes
+  /// fixed-module files.
   bool repair = false;
 
   /// Parses the "options" object; st carries the offending key on error.

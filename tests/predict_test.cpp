@@ -413,7 +413,7 @@ core::PipelineTarget target_for(const std::shared_ptr<ir::Module>& m) {
 }
 
 core::PipelineResult run_one(const std::shared_ptr<ir::Module>& m,
-                             PredictMode mode, unsigned jobs = 1) {
+                             support::AuditMode mode, unsigned jobs = 1) {
   support::metrics().clear_for_test();
   core::PipelineOptions options;
   options.jobs = jobs;
@@ -445,8 +445,8 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
     auto m = load_example(path);
     const bool planted = path.filename() == "predicted_only.mir";
 
-    const core::PipelineResult off = run_one(m, PredictMode::kOff);
-    EXPECT_FALSE(off.predict_ran) << path.filename();
+    const core::PipelineResult off = run_one(m, support::AuditMode::kOff);
+    EXPECT_FALSE(off.counts.predict_ran) << path.filename();
     // Off mode must leak nothing: no predict counters, no predict line in
     // the counts serialization.
     EXPECT_EQ(support::metrics().serialize().find("predict"),
@@ -455,18 +455,20 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
     EXPECT_EQ(off.counts.serialize().find("predict"), std::string::npos)
         << path.filename();
 
-    const core::PipelineResult audit = run_one(m, PredictMode::kAudit);
-    EXPECT_TRUE(audit.predict_ran) << path.filename();
+    const core::PipelineResult audit = run_one(m, support::AuditMode::kAudit);
+    EXPECT_TRUE(audit.counts.predict_ran) << path.filename();
     EXPECT_EQ(audit.store.canonical_dump(), off.store.canonical_dump())
         << "audit changed the report stream for " << path.filename();
     EXPECT_EQ(audit.counts.remaining, off.counts.remaining) << path.filename();
-    EXPECT_EQ(support::metrics().advisory("predict.audit_violations").value(),
-              0u)
+    EXPECT_EQ(audit.audit.predict, 0u)
         << "SP-closure wrongly called a verified race infeasible in "
         << path.filename();
+    EXPECT_EQ(support::metrics().advisory("predict.audit_violations").value(),
+              audit.audit.predict)
+        << path.filename();
 
-    const core::PipelineResult on = run_one(m, PredictMode::kOn);
-    EXPECT_TRUE(on.predict_ran) << path.filename();
+    const core::PipelineResult on = run_one(m, support::AuditMode::kOn);
+    EXPECT_TRUE(on.counts.predict_ran) << path.filename();
     if (planted) {
       // The planted example: exhaustive exploration never exhibits the
       // race; prediction finds it and targeted replay confirms it.
@@ -487,8 +489,9 @@ TEST(PredictPipelineTest, PipelineIsByteIdenticalAcrossJobsInEveryMode) {
   std::vector<std::shared_ptr<ir::Module>> modules;
   for (const auto& path : files) modules.push_back(load_example(path));
 
-  for (const PredictMode mode :
-       {PredictMode::kOff, PredictMode::kOn, PredictMode::kAudit}) {
+  for (const support::AuditMode mode :
+       {support::AuditMode::kOff, support::AuditMode::kOn,
+        support::AuditMode::kAudit}) {
     std::string baseline;
     for (const unsigned jobs : {1u, 4u}) {
       support::metrics().clear_for_test();
@@ -504,7 +507,7 @@ TEST(PredictPipelineTest, PipelineIsByteIdenticalAcrossJobsInEveryMode) {
         baseline = fingerprint;
       } else {
         EXPECT_EQ(fingerprint, baseline)
-            << "predict mode " << predict_mode_name(mode)
+            << "predict mode " << support::audit_mode_name(mode)
             << " is jobs-dependent at jobs=" << jobs;
       }
     }
@@ -516,8 +519,8 @@ TEST(PredictPipelineTest, PredictionSlashesVerifierWorkOnGuardedExamples) {
   for (const char* name : {"guarded_publish.mir", "stale_handoff.mir"}) {
     auto m = load_example(examples_dir() / name);
 
-    const core::PipelineResult off = run_one(m, PredictMode::kOff);
-    const core::PipelineResult on = run_one(m, PredictMode::kOn);
+    const core::PipelineResult off = run_one(m, support::AuditMode::kOff);
+    const core::PipelineResult on = run_one(m, support::AuditMode::kOn);
 
     // Identical final reports...
     EXPECT_EQ(on.store.canonical_dump(), off.store.canonical_dump()) << name;
@@ -541,11 +544,11 @@ TEST(PredictPipelineTest, PredictionSlashesVerifierWorkOnGuardedExamples) {
 TEST(PredictPipelineTest, PredictedOnlyRaceIsFoundAndReplayConfirmed) {
   auto m = load_example(examples_dir() / "predicted_only.mir");
 
-  const core::PipelineResult off = run_one(m, PredictMode::kOff);
+  const core::PipelineResult off = run_one(m, support::AuditMode::kOff);
   EXPECT_EQ(off.counts.raw_reports, 0u);
   EXPECT_TRUE(off.store.stage(core::Stage::kAfterRaceVerifier).empty());
 
-  const core::PipelineResult on = run_one(m, PredictMode::kOn);
+  const core::PipelineResult on = run_one(m, support::AuditMode::kOn);
   const auto& survivors = on.store.stage(core::Stage::kAfterRaceVerifier);
   ASSERT_EQ(survivors.size(), 1u);
   EXPECT_TRUE(survivors[0].predicted);

@@ -15,7 +15,9 @@
 #include "core/pipeline.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
+#include "serve/executor.hpp"
 #include "support/metrics.hpp"
+#include "support/strings.hpp"
 
 namespace owl::analysis {
 namespace {
@@ -387,9 +389,9 @@ TEST(PrescreenTest, PipelineBehaviorIsIdenticalAcrossModesAndJobs) {
 
   for (const unsigned jobs : {1u, 4u}) {
     std::string baseline;
-    for (const race::PrescreenMode mode :
-         {race::PrescreenMode::kOff, race::PrescreenMode::kOn,
-          race::PrescreenMode::kAudit}) {
+    for (const support::AuditMode mode :
+         {support::AuditMode::kOff, support::AuditMode::kOn,
+          support::AuditMode::kAudit}) {
       support::metrics().clear_for_test();
       core::PipelineOptions options;
       options.jobs = jobs;
@@ -401,20 +403,20 @@ TEST(PrescreenTest, PipelineBehaviorIsIdenticalAcrossModesAndJobs) {
           pipeline.run_many(targets);
 
       const std::string fingerprint = behavior_fingerprint(results);
-      if (mode == race::PrescreenMode::kOff) {
+      if (mode == support::AuditMode::kOff) {
         baseline = fingerprint;
       } else {
         EXPECT_EQ(fingerprint, baseline)
-            << "prescreen mode " << race::prescreen_mode_name(mode)
+            << "prescreen mode " << support::audit_mode_name(mode)
             << " changed behavior at jobs=" << jobs;
       }
-      if (mode == race::PrescreenMode::kOn) {
+      if (mode == support::AuditMode::kOn) {
         EXPECT_GT(
             support::metrics().advisory("prescreen.pruned_accesses").value(),
             0u)
             << "expected threadlocal_noise to produce pruned accesses";
       }
-      if (mode == race::PrescreenMode::kAudit) {
+      if (mode == support::AuditMode::kAudit) {
         EXPECT_EQ(
             support::metrics().advisory("prescreen.audit_violations").value(),
             0u)
@@ -422,6 +424,103 @@ TEST(PrescreenTest, PipelineBehaviorIsIdenticalAcrossModesAndJobs) {
       }
     }
   }
+  support::metrics().clear_for_test();
+}
+
+/// Records the address the initial thread's accesses of `instr` touched.
+class AddressProbe final : public interp::Observer {
+ public:
+  explicit AddressProbe(const ir::Instruction* instr) : instr_(instr) {}
+  void on_access(const Access& access, const interp::Machine&) override {
+    if (access.instr == instr_ && access.tid == 0) addr = access.addr;
+  }
+  void on_sync(const Sync&, const interp::Machine&) override {}
+
+  interp::Address addr = 0;
+
+ private:
+  const ir::Instruction* instr_;
+};
+
+// A run the static model does not cover: the machine factory adds @touch
+// as a second root thread on main's heap cell, which the prescreen proved
+// thread-local. Its store races with main's (each thread's hb_release
+// gives it an epoch of its own), so --prescreen audit must count
+// violations on that run's result and the verdict must exit 3. A later
+// clean run in the same process, with no metrics reset in between, must
+// get its own verdict (0), although the process-wide advisory counter
+// still holds the earlier run's violations.
+TEST(PrescreenTest, AuditViolationsTravelWithTheirResult) {
+  auto m = parse_ok(R"(module m
+global @s
+func @touch(ptr %p) {
+entry:
+  hb_release @s
+  store 2, %p
+  ret
+}
+func @main() {
+entry:
+  %p = malloc 1
+  call @touch(%p)
+  ret
+}
+)");
+  const ir::Function* main_fn = m->find_function("main");
+  const ir::Function* touch = m->find_function("touch");
+  const ir::Instruction* store = find_instr(touch, ir::Opcode::kStore);
+  {
+    const ModuleStatic ms(*m);
+    ASSERT_TRUE(ms.prescreen.pruning_enabled())
+        << ms.prescreen.disable_reason();
+    ASSERT_TRUE(ms.prescreen.no_race().count(store));
+  }
+  const auto racy_machine = [m, main_fn, touch](interp::Word cell) {
+    auto machine =
+        std::make_unique<interp::Machine>(*m, interp::MachineOptions{});
+    machine->start(main_fn);
+    machine->spawn(touch, cell);
+    return machine;
+  };
+  // Allocation is deterministic, so one probe run with the same threads
+  // finds the cell.
+  AddressProbe probe(store);
+  {
+    const std::unique_ptr<interp::Machine> machine = racy_machine(0);
+    machine->add_observer(&probe);
+    interp::RandomScheduler scheduler(1);
+    machine->run(scheduler);
+  }
+  ASSERT_NE(probe.addr, 0u);
+
+  serve::AnalysisOptions options;
+  options.prescreen = support::AuditMode::kAudit;
+  core::PipelineOptions pipeline_options;
+  pipeline_options.prescreen = support::AuditMode::kAudit;
+  const core::Pipeline pipeline(pipeline_options);
+
+  core::PipelineTarget racy = target_for(m);
+  racy.factory = [racy_machine, cell = probe.addr] {
+    return racy_machine(static_cast<interp::Word>(cell));
+  };
+  const std::vector<core::PipelineResult> first = pipeline.run_many({racy});
+  EXPECT_GT(first[0].audit.prescreen, 0u);
+  std::string error;
+  EXPECT_EQ(serve::audit_exit_code(first, options, error), 3);
+  EXPECT_EQ(error, str_format("owl_cli: prescreen audit: %llu "
+                              "pruned-but-raced access(es) falsify the "
+                              "static no-race verdict\n",
+                              static_cast<unsigned long long>(
+                                  first[0].audit.prescreen)));
+
+  const std::vector<core::PipelineResult> second =
+      pipeline.run_many({target_for(m)});
+  EXPECT_EQ(second[0].audit.prescreen, 0u);
+  EXPECT_GT(support::metrics().advisory("prescreen.audit_violations").value(),
+            0u);
+  error.clear();
+  EXPECT_EQ(serve::audit_exit_code(second, options, error), 0);
+  EXPECT_EQ(error, "");
   support::metrics().clear_for_test();
 }
 

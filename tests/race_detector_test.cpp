@@ -7,6 +7,7 @@
 #include "ir/verifier.hpp"
 #include "race/ski_detector.hpp"
 #include "race/tsan_detector.hpp"
+#include "support/metrics.hpp"
 
 namespace owl::race {
 namespace {
@@ -68,6 +69,37 @@ TEST(TsanTest, DetectsPlainReadWriteRace) {
   // Call stacks were captured for both sides.
   EXPECT_FALSE(r.first.stack.empty());
   EXPECT_FALSE(r.second.stack.empty());
+}
+
+// A wrong static verdict — both racing accesses marked race-free — is what
+// --prescreen audit exists to catch: the detector still reports the race,
+// counts one violation per pruned participant, and hands the count to the
+// metrics registry only at take_reports(), which zeroes it (the pipeline
+// reads the count into PipelineResult::audit just before that call).
+TEST(TsanTest, PrescreenAuditCountsPrunedRacingAccesses) {
+  auto m = parse_ok(kPlainRace);
+  const std::unordered_set<const ir::Instruction*> no_race = {
+      m->find_function("writer")->entry()->front(),
+      m->find_function("reader")->entry()->front()};
+  for (const DetectorImpl impl : {DetectorImpl::kFast,
+                                  DetectorImpl::kReference}) {
+    interp::Machine machine(*m, interp::MachineOptions{});
+    TsanDetector detector(nullptr, /*ski_watch_mode=*/false, impl,
+                          PrescreenView{support::AuditMode::kAudit, &no_race});
+    machine.add_observer(&detector);
+    machine.start(m->find_function("main"));
+    interp::RandomScheduler sched(1);
+    machine.run(sched);
+    EXPECT_EQ(detector.substrate_counters().prescreen_audit_violations, 2u)
+        << detector_impl_name(impl);
+
+    support::Counter& flushed =
+        support::metrics().advisory("prescreen.audit_violations");
+    const std::uint64_t before = flushed.value();
+    EXPECT_EQ(detector.take_reports().size(), 1u) << detector_impl_name(impl);
+    EXPECT_EQ(detector.substrate_counters().prescreen_audit_violations, 0u);
+    EXPECT_EQ(flushed.value() - before, 2u) << detector_impl_name(impl);
+  }
 }
 
 TEST(TsanTest, LockProtectedAccessesDoNotRace) {

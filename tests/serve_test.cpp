@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "serve/executor.hpp"
 #include "serve/journal.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -643,6 +644,43 @@ TEST(RequestQueueTest, WaitIdleBlocksUntilReleased) {
   queue.wait_idle();  // returns only after the release
   EXPECT_EQ(queue.held(), 0u);
   releaser.join();
+}
+
+// ---- audit verdict ----
+
+TEST(AuditVerdictTest, ViolationsExitThreeWithTheOwlCliLines) {
+  std::vector<core::PipelineResult> results(2);
+  results[0].audit.prescreen = 1;
+  results[1].audit.prescreen = 2;
+  results[0].audit.predict = 5;
+  results[1].audit.vuln_flow = 4;
+  AnalysisOptions options;
+  options.prescreen = support::AuditMode::kAudit;
+  options.predict = support::AuditMode::kAudit;
+  options.vuln_flow = support::AuditMode::kAudit;
+  std::string error;
+  EXPECT_EQ(audit_exit_code(results, options, error), 3);
+  EXPECT_EQ(error,
+            "owl_cli: prescreen audit: 3 pruned-but-raced access(es) falsify "
+            "the static no-race verdict\n"
+            "owl_cli: predict audit: 5 verified race(s) the SP-closure "
+            "wrongly called infeasible\n"
+            "owl_cli: vuln-flow audit: 4 runtime store->load dependence(s) "
+            "missing from the static value-flow graph\n");
+
+  // Only an option in audit mode turns its count into a verdict.
+  options.prescreen = support::AuditMode::kOn;
+  options.predict = support::AuditMode::kOff;
+  error.clear();
+  EXPECT_EQ(audit_exit_code(results, options, error), 3);
+  EXPECT_EQ(error,
+            "owl_cli: vuln-flow audit: 4 runtime store->load dependence(s) "
+            "missing from the static value-flow graph\n");
+
+  results[1].audit.vuln_flow = 0;
+  error.clear();
+  EXPECT_EQ(audit_exit_code(results, options, error), 0);
+  EXPECT_EQ(error, "");
 }
 
 }  // namespace

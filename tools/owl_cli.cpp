@@ -9,10 +9,11 @@
 //
 // Options:
 //   --entry <name>         entry function spawning the threads (default: main)
-//   --jobs N               worker threads: targets fan out across N workers;
-//                          with one program, N>1 instead shards the race
-//                          verifier's schedule exploration (default: one
-//                          worker per hardware thread; 1 = sequential)
+//   --jobs N               worker threads, 0..256: targets fan out across N
+//                          workers; with one program, N>1 instead shards
+//                          the race verifier's schedule exploration
+//                          (default and 0: one worker per hardware thread;
+//                          1 = sequential)
 //   --timings              print the per-stage wall-clock summary
 //   --inputs a,b,c         workload input vector (default: empty)
 //   --exploit-inputs a,b,c inputs for the vulnerability verifier re-runs
@@ -43,7 +44,7 @@
 //                          store->load dependence against the static edge
 //                          set; a nonzero violation count exits 3). Also
 //                          --vuln-flow=MODE
-//   --schedules N          detection schedules (default: 4)
+//   --schedules N          detection schedules, 1..2^20 (default: 4)
 //   --seed S               base schedule seed (default: 1)
 //   --max-steps N          per-run instruction budget (default: 400000)
 //   --no-adhoc             disable adhoc-sync annotation (stage 2)
@@ -52,7 +53,8 @@
 //   --stage-deadline S     wall-clock deadline (seconds, fractional ok) for
 //                          every pipeline stage; a stage that exhausts it
 //                          degrades instead of running unbounded
-//   --retries N            retries for schedule-dependent stages (default: 2)
+//   --retries N            retries for schedule-dependent stages, 0..1000
+//                          (default: 2)
 //   --inject-fault SPEC    deterministic fault injection, repeatable.
 //                          SPEC = stage:kind[:after] with
 //                          stage in detect|annotate|race-verify|vuln-analyze|
@@ -90,65 +92,47 @@
 //                          (support/metrics.hpp serialize() text form)
 //   -q / --quiet           summary only
 //
+// The analysis flags parse into serve::AnalysisOptions, the struct
+// owl_served's "options" object parses into, and each program is wired by
+// serve::wire_request, so the daemon answers byte for byte what this tool
+// prints. --jobs, --schedules and --retries share the daemon's caps.
+//
 // Exit status: 0 when the pipeline ran (regardless of findings), 1 on
 // usage/parse errors, 2 when the module fails verification, 3 when
 // --prescreen audit, --predict audit, or --vuln-flow audit observed
 // soundness violations.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "checkers/sarif.hpp"
-#include "core/pipeline.hpp"
 #include "core/render.hpp"
-#include "repair/engine.hpp"
-#include "interp/machine.hpp"
-#include "ir/parser.hpp"
 #include "ir/printer.hpp"
-#include "ir/verifier.hpp"
+#include "repair/engine.hpp"
+#include "serve/executor.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
-#include "vuln/hint.hpp"
 
 using namespace owl;
 
 namespace {
 
+/// The analysis options owl_served also takes, plus what only a one-shot
+/// process has: paths, the --jobs fan-out, fault plans and file sinks.
 struct CliOptions {
   std::vector<std::string> paths;
-  std::string entry = "main";
-  std::vector<interp::Word> inputs;
-  std::vector<interp::Word> exploit_inputs;
-  core::DetectorKind detector = core::DetectorKind::kTsan;
-  race::DetectorImpl detector_impl = race::DetectorImpl::kFast;
-  race::PrescreenMode prescreen = race::PrescreenMode::kOff;
-  race::PredictMode predict = race::PredictMode::kOff;
-  analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
-  unsigned schedules = 4;
-  std::uint64_t seed = 1;
-  std::uint64_t max_steps = 400'000;
-  bool adhoc = true;
-  bool race_verifier = true;
-  bool vuln_verifier = true;
-  bool whole_program = false;
-  bool print_module = false;
-  bool print_reports = false;
-  bool quiet = false;
-  double stage_deadline = 0.0;  ///< 0 = unlimited
-  unsigned retries = 2;
-  std::vector<support::FaultPlan> fault_plans;
+  serve::AnalysisOptions analysis;
   unsigned jobs = 0;  ///< 0 = hardware_concurrency
   bool timings = false;
+  std::vector<support::FaultPlan> fault_plans;
   std::string trace_out;    ///< Chrome trace JSON path ("" = tracing off)
   std::string manifest_out; ///< run-manifest JSON path ("" = none)
   std::string metrics_out;  ///< metrics snapshot text path ("" = none)
-  checkers::CheckerOptions checkers;  ///< all off by default
   std::string sarif_out;    ///< SARIF log path; "-" = stdout ("" = none)
   std::string repair_dir;   ///< --repair DIR; "" = repair stage off
 };
@@ -180,7 +164,7 @@ bool parse_fault_spec(const char* text, support::FaultPlan& plan) {
          !support::is_service_phase(plan.stage);
 }
 
-bool parse_word_list(const char* text, std::vector<interp::Word>& out) {
+bool parse_word_list(const char* text, std::vector<std::int64_t>& out) {
   for (const std::string& part : split(text, ',')) {
     std::int64_t value = 0;
     if (!parse_int64(part, value)) return false;
@@ -190,106 +174,82 @@ bool parse_word_list(const char* text, std::vector<interp::Word>& out) {
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
+  serve::AnalysisOptions& analysis = options.analysis;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
+    std::string_view arg = argv[i];
+    // The mode and checker flags also take their value as --flag=VALUE.
+    const char* inline_value = nullptr;
+    if (const std::size_t eq = arg.find('='); eq != std::string_view::npos) {
+      const std::string_view flag = arg.substr(0, eq);
+      if (flag == "--prescreen" || flag == "--predict" ||
+          flag == "--vuln-flow" || flag == "--checkers") {
+        inline_value = argv[i] + eq + 1;
+        arg = flag;
+      }
+    }
     const auto next = [&]() -> const char* {
+      if (inline_value != nullptr) return inline_value;
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as an integer in [lo, hi].
+    const auto next_int = [&](std::int64_t lo, std::int64_t hi,
+                              std::int64_t& n) {
+      const char* v = next();
+      return v != nullptr && parse_int64(v, n) && n >= lo && n <= hi;
+    };
+    std::int64_t n = 0;
     if (arg == "--entry") {
       const char* v = next();
       if (v == nullptr) return false;
-      options.entry = v;
+      analysis.entry = v;
     } else if (arg == "--inputs") {
       const char* v = next();
-      if (v == nullptr || !parse_word_list(v, options.inputs)) return false;
+      if (v == nullptr || !parse_word_list(v, analysis.inputs)) return false;
     } else if (arg == "--exploit-inputs") {
       const char* v = next();
-      if (v == nullptr || !parse_word_list(v, options.exploit_inputs)) {
+      if (v == nullptr || !parse_word_list(v, analysis.exploit_inputs)) {
         return false;
       }
     } else if (arg == "--detector") {
       const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "tsan") == 0) {
-        options.detector = core::DetectorKind::kTsan;
-      } else if (std::strcmp(v, "ski") == 0) {
-        options.detector = core::DetectorKind::kSki;
-      } else if (std::strcmp(v, "atomicity") == 0) {
-        options.detector = core::DetectorKind::kAtomicity;
-      } else {
+      if (v == nullptr || !core::parse_detector_kind(v, analysis.detector)) {
         return false;
       }
     } else if (arg == "--detector-impl") {
       const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "fast") == 0) {
-        options.detector_impl = race::DetectorImpl::kFast;
-      } else if (std::strcmp(v, "reference") == 0) {
-        options.detector_impl = race::DetectorImpl::kReference;
-      } else {
-        return false;
-      }
-    } else if (arg == "--prescreen") {
-      const char* v = next();
-      if (v == nullptr || !race::parse_prescreen_mode(v, options.prescreen)) {
-        return false;
-      }
-    } else if (arg.rfind("--prescreen=", 0) == 0) {
-      if (!race::parse_prescreen_mode(arg.substr(12), options.prescreen)) {
-        return false;
-      }
-    } else if (arg == "--predict") {
-      const char* v = next();
-      if (v == nullptr || !race::parse_predict_mode(v, options.predict)) {
-        return false;
-      }
-    } else if (arg.rfind("--predict=", 0) == 0) {
-      if (!race::parse_predict_mode(arg.substr(10), options.predict)) {
-        return false;
-      }
-    } else if (arg == "--vuln-flow") {
-      const char* v = next();
       if (v == nullptr ||
-          !analysis::parse_value_flow_mode(v, options.vuln_flow)) {
+          !race::parse_detector_impl(v, analysis.detector_impl)) {
         return false;
       }
-    } else if (arg.rfind("--vuln-flow=", 0) == 0) {
-      if (!analysis::parse_value_flow_mode(arg.substr(12),
-                                           options.vuln_flow)) {
-        return false;
-      }
+    } else if (arg == "--prescreen" || arg == "--predict" ||
+               arg == "--vuln-flow") {
+      support::AuditMode& mode = arg == "--prescreen" ? analysis.prescreen
+                                 : arg == "--predict" ? analysis.predict
+                                                      : analysis.vuln_flow;
+      const char* v = next();
+      if (v == nullptr || !support::parse_audit_mode(v, mode)) return false;
     } else if (arg == "--schedules") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n <= 0) return false;
-      options.schedules = static_cast<unsigned>(n);
+      if (!next_int(1, serve::kMaxSchedules, n)) return false;
+      analysis.schedules = static_cast<unsigned>(n);
     } else if (arg == "--seed") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n)) return false;
-      options.seed = static_cast<std::uint64_t>(n);
+      if (!next_int(INT64_MIN, INT64_MAX, n)) return false;
+      analysis.seed = static_cast<std::uint64_t>(n);
     } else if (arg == "--max-steps") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n <= 0) return false;
-      options.max_steps = static_cast<std::uint64_t>(n);
+      if (!next_int(1, INT64_MAX, n)) return false;
+      analysis.max_steps = static_cast<std::uint64_t>(n);
     } else if (arg == "--stage-deadline") {
       const char* v = next();
       if (v == nullptr) return false;
       char* end = nullptr;
-      options.stage_deadline = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.stage_deadline <= 0) {
+      analysis.stage_deadline = std::strtod(v, &end);
+      if (end == v || *end != '\0' || analysis.stage_deadline <= 0) {
         return false;
       }
     } else if (arg == "--retries") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n < 0) return false;
-      options.retries = static_cast<unsigned>(n);
+      if (!next_int(0, serve::kMaxRetries, n)) return false;
+      analysis.retries = static_cast<unsigned>(n);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n < 0) return false;
+      if (!next_int(0, serve::kMaxJobs, n)) return false;
       options.jobs = static_cast<unsigned>(n);
     } else if (arg == "--timings") {
       options.timings = true;
@@ -309,16 +269,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       const char* v = next();
       std::string error;
       if (v == nullptr ||
-          !checkers::CheckerOptions::parse(v, options.checkers, error)) {
-        if (!error.empty()) {
-          std::fprintf(stderr, "owl_cli: %s\n", error.c_str());
-        }
-        return false;
-      }
-    } else if (arg.rfind("--checkers=", 0) == 0) {
-      std::string error;
-      if (!checkers::CheckerOptions::parse(arg.substr(11), options.checkers,
-                                           error)) {
+          !checkers::CheckerOptions::parse(v, analysis.checkers, error)) {
         if (!error.empty()) {
           std::fprintf(stderr, "owl_cli: %s\n", error.c_str());
         }
@@ -338,19 +289,19 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       if (v == nullptr || !parse_fault_spec(v, plan)) return false;
       options.fault_plans.push_back(std::move(plan));
     } else if (arg == "--no-adhoc") {
-      options.adhoc = false;
+      analysis.adhoc = false;
     } else if (arg == "--no-race-verifier") {
-      options.race_verifier = false;
+      analysis.race_verifier = false;
     } else if (arg == "--no-vuln-verifier") {
-      options.vuln_verifier = false;
+      analysis.vuln_verifier = false;
     } else if (arg == "--whole-program") {
-      options.whole_program = true;
+      analysis.whole_program = true;
     } else if (arg == "--print-module") {
-      options.print_module = true;
+      analysis.print_module = true;
     } else if (arg == "--print-reports") {
-      options.print_reports = true;
+      analysis.print_reports = true;
     } else if (arg == "-q" || arg == "--quiet") {
-      options.quiet = true;
+      analysis.quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return false;
     } else {
@@ -368,123 +319,55 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
-  if (options.exploit_inputs.empty()) {
-    options.exploit_inputs = options.inputs;
-  }
   const unsigned jobs =
       options.jobs == 0 ? support::ThreadPool::default_jobs() : options.jobs;
+  serve::AnalysisOptions& analysis = options.analysis;
+  // With one program, --jobs buys wall-clock through the race verifier's
+  // schedule-exploration sharding; with several, through the target
+  // fan-out (run_many forwards no verifier pool to its workers).
+  analysis.jobs = options.paths.size() == 1 ? jobs : 1;
+  analysis.sarif = options.sarif_out == "-";
+  analysis.repair = !options.repair_dir.empty();
 
   // Load and verify every module up front (fail fast, old exit codes),
   // then audit them as one multi-target sweep.
-  std::vector<std::shared_ptr<ir::Module>> modules;
+  std::vector<serve::WiredRequest> wired;
   std::vector<core::PipelineTarget> targets;
   // Per-target schedule seeds: one program keeps --seed exactly (replay
   // compatibility); several derive an independent SplitMix stream per
   // input position via the splittable Rng — a function of (--seed,
   // position) only, never of worker interleaving.
-  Rng seed_stream(options.seed);
+  Rng seed_stream(analysis.seed);
   for (const std::string& path : options.paths) {
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "owl_cli: cannot open %s\n", path.c_str());
+    std::string text;
+    std::string error;
+    if (!serve::read_module_file(path, text, error)) {
+      std::fputs(error.c_str(), stderr);
       return 1;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
-
-    auto parsed = ir::parse_module(text.str());
-    if (!parsed.is_ok()) {
-      std::fprintf(stderr, "owl_cli: %s: %s\n", path.c_str(),
-                   parsed.status().to_string().c_str());
-      return 1;
+    serve::WiredRequest request = serve::wire_request(text, path, analysis);
+    if (request.exit_code != 0) {
+      std::fputs(request.error.c_str(), stderr);
+      return request.exit_code;
     }
-    std::shared_ptr<ir::Module> module = std::move(parsed).value();
-    if (const Status status = ir::verify_module(*module); !status.is_ok()) {
-      std::fprintf(stderr, "owl_cli: %s: %s\n", path.c_str(),
-                   status.to_string().c_str());
-      return 2;
+    if (analysis.print_module) {
+      std::fputs(ir::print_module(*request.module).c_str(), stdout);
     }
-    const ir::Function* entry = module->find_function(options.entry);
-    if (entry == nullptr || !entry->has_body()) {
-      std::fprintf(stderr, "owl_cli: %s: no entry function @%s\n",
-                   path.c_str(), options.entry.c_str());
-      return 1;
+    if (options.paths.size() > 1) {
+      request.target.seed = seed_stream.split().next();
     }
-    if (options.print_module) {
-      std::fputs(ir::print_module(*module).c_str(), stdout);
-    }
-
-    const auto factory_for = [&](std::vector<interp::Word> inputs) {
-      return race::MachineFactory([module, entry, inputs,
-                                   max_steps = options.max_steps] {
-        interp::MachineOptions machine_options;
-        machine_options.inputs = inputs;
-        machine_options.max_steps = max_steps;
-        auto machine =
-            std::make_unique<interp::Machine>(*module, machine_options);
-        machine->start(entry);
-        return machine;
-      });
-    };
-
-    core::PipelineTarget target;
-    target.name = path;
-    target.module = module.get();
-    target.factory = factory_for(options.inputs);
-    target.exploit_factory = factory_for(options.exploit_inputs);
-    // Module-agnostic twin of factory_for: the repair engine verifies
-    // candidate patches by running the pipeline on a cloned, rewritten
-    // module, so the factory must resolve the entry by name on whatever
-    // module it is handed (the shared_ptr keeps the clone alive for as
-    // long as any machine is outstanding).
-    target.factory_for_module =
-        [entry_name = options.entry, inputs = options.inputs,
-         max_steps =
-             options.max_steps](std::shared_ptr<const ir::Module> patched) {
-          return race::MachineFactory([patched, entry_name, inputs,
-                                       max_steps] {
-            interp::MachineOptions machine_options;
-            machine_options.inputs = inputs;
-            machine_options.max_steps = max_steps;
-            auto machine =
-                std::make_unique<interp::Machine>(*patched, machine_options);
-            machine->start(patched->find_function(entry_name));
-            return machine;
-          });
-        };
-    target.detector = options.detector;
-    target.detection_schedules = options.schedules;
-    target.seed =
-        options.paths.size() == 1 ? options.seed : seed_stream.split().next();
-    modules.push_back(std::move(module));
-    targets.push_back(std::move(target));
+    targets.push_back(request.target);
+    wired.push_back(std::move(request));
   }
 
-  core::PipelineOptions pipeline_options;
-  pipeline_options.enable_adhoc_annotation = options.adhoc;
-  pipeline_options.enable_race_verifier = options.race_verifier;
-  pipeline_options.enable_vuln_verifier = options.vuln_verifier;
-  pipeline_options.analyzer_mode =
-      options.whole_program ? vuln::VulnerabilityAnalyzer::Mode::kWholeProgram
-                            : vuln::VulnerabilityAnalyzer::Mode::kDirected;
-  if (options.stage_deadline > 0) {
-    pipeline_options.stage_budgets =
-        core::StageBudgets::uniform_wall(options.stage_deadline);
-  }
-  pipeline_options.retry.max_retries = options.retries;
-  pipeline_options.detector_impl = options.detector_impl;
-  pipeline_options.prescreen = options.prescreen;
-  pipeline_options.predict = options.predict;
-  pipeline_options.vuln_flow = options.vuln_flow;
-  pipeline_options.checkers = options.checkers;
-  pipeline_options.repair.enabled = !options.repair_dir.empty();
-  pipeline_options.repair.out_dir = options.repair_dir;
-  pipeline_options.jobs = jobs;
+  // Every invocation goes through run_many — the single entry point that
+  // emits the run manifest.
+  core::PipelineOptions pipeline_options = wired.front().pipeline;
+  if (targets.size() > 1) pipeline_options.jobs = jobs;
   pipeline_options.manifest_path = options.manifest_out;
-  pipeline_options.manifest_tool = "owl_cli";
   StageTimings stage_timings;
   if (options.timings) pipeline_options.stage_timings = &stage_timings;
-  support::FaultInjector injector(options.seed);
+  support::FaultInjector injector(analysis.seed);
   for (const support::FaultPlan& plan : options.fault_plans) {
     injector.add_plan(plan);
   }
@@ -492,43 +375,20 @@ int main(int argc, char** argv) {
   if (!options.trace_out.empty()) {
     support::TraceCollector::instance().set_enabled(true);
   }
-
-  // Every invocation goes through run_many — the single entry point that
-  // emits the run manifest. With one target, --jobs buys wall-clock through
-  // the race verifier's schedule-exploration sharding instead of the
-  // target fan-out (run_many forwards the pool only when jobs == 1).
-  std::unique_ptr<support::ThreadPool> pool;
-  if (targets.size() == 1) {
-    pipeline_options.jobs = 1;
-    if (jobs > 1) {
-      pool = std::make_unique<support::ThreadPool>(jobs);
-      pipeline_options.verifier_pool = pool.get();
-    }
-  }
-  std::vector<core::PipelineResult> results =
+  const std::vector<core::PipelineResult> results =
       core::Pipeline(pipeline_options).run_many(targets);
+  std::fputs(serve::render_output(results, analysis).c_str(), stdout);
 
-  // Rendering is shared with the serve layer (core/render.hpp) so
-  // owl_served responses stay byte-identical to this output.
-  for (const core::PipelineResult& result : results) {
-    std::fputs(core::render_cli_summary(result).c_str(), stdout);
-  }
-  for (const core::PipelineResult& result : results) {
-    if (options.quiet) break;
-    std::fputs(
-        core::render_cli_details(result, options.print_reports).c_str(),
-        stdout);
-  }
   int status = 0;
   if (!options.repair_dir.empty()) {
     // File emission is CLI-only (owl_served never writes): the rendered
-    // summary/details above carry everything path-independent, the repair
+    // output above carries everything path-independent, the repair
     // artifacts land here. Write failures warn and fail the run like the
     // trace/metrics sinks below.
     std::error_code ec;
     std::filesystem::create_directories(options.repair_dir, ec);
     for (const core::PipelineResult& result : results) {
-      if (!result.repair_ran) continue;
+      if (!result.counts.repair_ran) continue;
       const std::string fixed_name =
           repair::fixed_module_name(result.target_name);
       const std::string stem =
@@ -559,24 +419,13 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!options.sarif_out.empty()) {
-    std::vector<checkers::SarifTarget> sarif_targets;
-    sarif_targets.reserve(results.size());
-    for (const core::PipelineResult& result : results) {
-      sarif_targets.push_back(
-          checkers::SarifTarget{result.target_name, &result.checker_findings});
-    }
-    const std::string sarif = checkers::render_sarif(sarif_targets);
-    if (options.sarif_out == "-") {
-      std::fputs(sarif.c_str(), stdout);
-    } else {
-      std::ofstream out(options.sarif_out, std::ios::trunc);
-      out << sarif;
-      if (!out) {
-        std::fprintf(stderr, "owl_cli: cannot write SARIF to %s\n",
-                     options.sarif_out.c_str());
-        status = 1;
-      }
+  if (!options.sarif_out.empty() && !analysis.sarif) {
+    std::ofstream out(options.sarif_out, std::ios::trunc);
+    out << core::render_cli_sarif(results);
+    if (!out) {
+      std::fprintf(stderr, "owl_cli: cannot write SARIF to %s\n",
+                   options.sarif_out.c_str());
+      status = 1;
     }
   }
   if (options.timings) {
@@ -599,39 +448,11 @@ int main(int argc, char** argv) {
       status = 1;
     }
   }
-  if (options.prescreen == race::PrescreenMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("prescreen.audit_violations").value();
-    if (violations != 0) {
-      std::fprintf(stderr,
-                   "owl_cli: prescreen audit: %llu pruned-but-raced "
-                   "access(es) falsify the static no-race verdict\n",
-                   static_cast<unsigned long long>(violations));
-      status = 3;
-    }
-  }
-  if (options.predict == race::PredictMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("predict.audit_violations").value();
-    if (violations != 0) {
-      std::fprintf(stderr,
-                   "owl_cli: predict audit: %llu verified race(s) the "
-                   "SP-closure wrongly called infeasible\n",
-                   static_cast<unsigned long long>(violations));
-      status = 3;
-    }
-  }
-  if (options.vuln_flow == analysis::ValueFlowMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("vulnflow.audit_violations").value();
-    if (violations != 0) {
-      std::fprintf(stderr,
-                   "owl_cli: vuln-flow audit: %llu runtime store->load "
-                   "dependence(s) missing from the static value-flow "
-                   "graph\n",
-                   static_cast<unsigned long long>(violations));
-      status = 3;
-    }
+  std::string audit_error;
+  if (const int audit = serve::audit_exit_code(results, analysis, audit_error);
+      audit != 0) {
+    std::fputs(audit_error.c_str(), stderr);
+    status = audit;
   }
   return status;
 }
