@@ -18,6 +18,7 @@ import sys
 
 FIG3_SPANS = {
     "target",
+    "static-analysis",
     "detection",
     "annotation",
     "race-verification",

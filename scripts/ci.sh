@@ -179,6 +179,29 @@ stage_differential() {
     || { echo "ci.sh: fast detector diverged under injected fault" >&2
          exit 1; }
 
+  # Every stage degrades instead of escaping Pipeline::run: a throw in
+  # static analysis or in the value-flow build must leave exit 0, the
+  # stage's own degraded(...) summary on every target (never the driver),
+  # and byte-identical output at jobs=1 and jobs=4.
+  current_step="static-analysis / value-flow fault degradation"
+  for spec in "static:throw|static-analysis" "value-flow:throw|value-flow"; do
+    fault="${spec%%|*}"
+    stage="${spec##*|}"
+    for j in 1 4; do
+      ./build/tools/owl_cli --jobs "$j" --print-reports --vuln-flow on \
+        --inject-fault "$fault" "${examples[@]}" \
+        > "build/out-fault-$stage-j$j.txt" 2>/dev/null
+    done
+    diff -u "build/out-fault-$stage-j1.txt" "build/out-fault-$stage-j4.txt" \
+      || { echo "ci.sh: --inject-fault $fault diverged at jobs=4" >&2
+           exit 1; }
+    summaries=$(grep -c "resilience: *degraded($stage:exception)$" \
+      "build/out-fault-$stage-j1.txt" || true)
+    [ "$summaries" -eq "${#examples[@]}" ] \
+      || { echo "ci.sh: --inject-fault $fault degraded $summaries of ${#examples[@]} targets" >&2
+           exit 1; }
+  done
+
   # Prescreen gate: the static may-race pre-screen must never change
   # behavior. Stdout, manifest body (scripts/manifest_diff.py), and metric
   # snapshots must be byte-identical across --prescreen off/on/audit for

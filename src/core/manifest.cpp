@@ -29,12 +29,12 @@ std::string counts_json(const StageCounts& counts) {
       counts.raw_reports, counts.adhoc_syncs, counts.after_annotation,
       counts.verifier_eliminated, counts.remaining,
       counts.vulnerability_reports, counts.retries_used);
-  if (counts.checkers_ran) {
+  if (counts.ran(support::PipelineStage::kCheckers)) {
     // Present only when the checker stage ran, so manifests from
     // checkers-off runs stay byte-identical to pre-suite ones.
     out += str_format("\"checker_findings\":%zu,", counts.checker_findings);
   }
-  if (counts.repair_ran) {
+  if (counts.ran(support::PipelineStage::kRepair)) {
     // Same gating for the repair stage: off-mode manifests carry no
     // repair keys at all.
     out += str_format("\"repair_status\":%s,\"repair_candidates\":%zu,",

@@ -21,6 +21,13 @@
 
 namespace owl::core {
 
+namespace {
+
+using support::FailureCause;
+using support::FaultInjector;
+using support::FaultKind;
+using support::PipelineStage;
+
 /// Records runtime store→load dependences during detection runs
 /// (--vuln-flow audit): per-address last writer, then (writer, reader)
 /// instruction pairs on every read. Address maps reset per machine run —
@@ -53,13 +60,6 @@ class FlowAuditRecorder final : public interp::Observer {
   std::set<std::pair<const ir::Instruction*, const ir::Instruction*>> pairs_;
 };
 
-namespace {
-
-using support::FailureCause;
-using support::FaultInjector;
-using support::FaultKind;
-using support::PipelineStage;
-
 // The prescreen treats integer constants below this limit as null-page
 // values that can never alias a real object; the detector's dynamic
 // re-check uses the interpreter's actual guard. They must agree.
@@ -72,13 +72,8 @@ void record_failure(StageCounts& counts, PipelineStage stage,
                     FailureCause cause, std::string detail,
                     std::uint64_t steps_spent = 0, double wall_seconds = 0.0,
                     unsigned retries = 0) {
-  support::FailureRecord record;
-  record.stage = stage;
-  record.cause = cause;
-  record.detail = std::move(detail);
-  record.steps_spent = steps_spent;
-  record.wall_seconds = wall_seconds;
-  record.retries = retries;
+  support::FailureRecord record{stage,       cause,        std::move(detail),
+                                steps_spent, wall_seconds, retries};
   OWL_LOG(kWarn) << "pipeline stage degraded: " << record.to_string();
   support::metrics()
       .counter("pipeline.failures." +
@@ -103,33 +98,702 @@ void attribute_injected(FaultInjector* injector, StageCounts& counts,
   }
 }
 
-/// Records one stage's wall-clock into the shared (thread-safe) timing
-/// aggregation on scope exit; no-op when timings are not requested.
-class StageTimer {
- public:
-  StageTimer(StageTimings* timings, const char* stage)
-      : timings_(timings), stage_(stage),
-        start_(std::chrono::steady_clock::now()) {}
-  ~StageTimer() { stop(); }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
+/// What one unit of stage work left behind when every attempt threw.
+struct UnitFailure {
+  std::string what;
+  unsigned retries = 0;  ///< attempts beyond the first
+};
 
-  /// Ends the stage early when the timer's scope outlives it.
-  void stop() {
-    if (timings_ == nullptr || stopped_) return;
-    stopped_ = true;
-    timings_->record(
-        stage_, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count());
+/// One target's in-flight state: what earlier stages left for later ones.
+struct RunState {
+  const PipelineOptions& options;
+  const PipelineTarget& target;
+  PipelineResult& result;
+  FaultInjector* injector;
+
+  std::optional<analysis::ModuleStatic> module_static;
+  race::PrescreenView prescreen;
+  std::optional<analysis::ValueFlowGraph> value_flow;
+  FlowAuditRecorder flow_recorder;
+  race::predict::TraceRecorder trace_recorder;
+  std::vector<race::RaceReport> raw;
+  std::vector<race::RaceReport> reduced;
+  std::vector<race::RaceReport> survivors;
+  std::optional<race::predict::PredictOutcome> predict_outcome;
+  /// For each of result.exploits, the index of the race it came from.
+  std::vector<std::size_t> exploit_race;
+
+  /// Event-trace capture for the predict stage (DESIGN.md §12). Atomicity
+  /// targets are out of SP theory's scope and never record.
+  bool predict_active() const noexcept {
+    return options.predict != support::AuditMode::kOff &&
+           target.detector != DetectorKind::kAtomicity &&
+           target.module != nullptr;
+  }
+  race::predict::TraceRecorder* recorder() noexcept {
+    return predict_active() ? &trace_recorder : nullptr;
+  }
+  /// Runtime store→load capture for --vuln-flow audit; needs the graph.
+  FlowAuditRecorder* flow_audit() noexcept {
+    return options.vuln_flow == support::AuditMode::kAudit &&
+                   value_flow.has_value()
+               ? &flow_recorder
+               : nullptr;
+  }
+};
+
+/// Runs one unit of a stage's work (a detection pass, the adhoc-sync
+/// classification, one report's verification or Algorithm 1 walk, one
+/// exploit's verification) for up to `attempts` attempts: start(attempt),
+/// a fault probe, then work(attempt); a throw moves on to the next
+/// attempt. Returns the last error when every attempt threw.
+template <typename Start, typename Work>
+std::optional<UnitFailure> run_unit(RunState& state, unsigned attempts,
+                                    Start&& start, Work&& work) {
+  for (unsigned attempt = 0;; ++attempt) {
+    start(attempt);
+    try {
+      if (state.injector != nullptr) state.injector->maybe_throw();
+      work(attempt);
+      state.result.counts.retries_used += attempt;
+      return std::nullopt;
+    } catch (const std::exception& error) {
+      if (attempt + 1 >= attempts) {
+        state.result.counts.retries_used += attempt;
+        return UnitFailure{error.what(), attempt};
+      }
+      OWL_LOG(kInfo) << state.target.name << ": attempt " << attempt
+                     << " failed (" << error.what()
+                     << "), retrying with rotated seed";
+    }
+  }
+}
+
+template <typename Work>
+std::optional<UnitFailure> run_unit(RunState& state, unsigned attempts,
+                                    Work&& work) {
+  return run_unit(state, attempts, [](unsigned) {}, work);
+}
+
+/// What is left of a stage's step budget, as one unit's allowance.
+support::BudgetSpec what_is_left(const support::Budget& stage_budget) {
+  support::BudgetSpec spec;
+  spec.steps = stage_budget.remaining_steps() == UINT64_MAX
+                   ? 0
+                   : stage_budget.remaining_steps();
+  return spec;
+}
+
+/// One detection pass over the target's schedules (no retry wrapper);
+/// throws on detector faults. `annotations` is null for step (1).
+std::vector<race::RaceReport> detect_once(
+    RunState& state, const race::AnnotationSet* annotations,
+    std::uint64_t base_seed, support::Budget& budget) {
+  const PipelineTarget& target = state.target;
+  race::predict::TraceRecorder* recorder = state.recorder();
+  FlowAuditRecorder* flow_audit = state.flow_audit();
+  std::vector<race::RaceReport> merged;
+  // Each pass starts a fresh trace set: the predict stage reasons over the
+  // final (annotated, when there is one) pass — the same report stream the
+  // verifier sees.
+  if (recorder != nullptr) recorder->begin_pass(annotations);
+  for (unsigned i = 0; i < target.detection_schedules; ++i) {
+    if (const auto cause = budget.exhausted_by()) {
+      record_failure(state.result.counts, PipelineStage::kDetection, *cause,
+                     str_format("%u of %u schedules skipped",
+                                target.detection_schedules - i,
+                                target.detection_schedules),
+                     budget.steps_spent(), budget.elapsed_seconds());
+      break;
+    }
+    TRACE_SPAN("detect-schedule", target.name);
+    support::metrics().counter("pipeline.detection_schedules").inc();
+    std::unique_ptr<interp::Machine> machine = target.factory();
+    machine->set_fault_injector(state.injector);
+    // §8.3 extension: an atomicity-violation detector feeding the same
+    // report stream. Annotations do not apply to it (the triples are
+    // already schedule-classified).
+    std::optional<race::AtomicityDetector> atomicity;
+    std::unique_ptr<race::TsanDetector> detector;
+    std::unique_ptr<interp::Scheduler> scheduler =
+        std::make_unique<interp::RandomScheduler>(base_seed + i);
+    if (target.detector == DetectorKind::kAtomicity) {
+      machine->add_observer(&atomicity.emplace());
+    } else if (target.detector == DetectorKind::kSki) {
+      detector = std::make_unique<race::SkiDetector>(
+          annotations, state.options.detector_impl, state.prescreen);
+      scheduler = std::make_unique<interp::PctScheduler>(
+          base_seed + i, /*depth=*/3, /*expected_steps=*/20000);
+    } else {
+      detector = std::make_unique<race::TsanDetector>(
+          annotations, /*ski_watch_mode=*/false, state.options.detector_impl,
+          state.prescreen);
+    }
+    if (detector != nullptr) machine->add_observer(detector.get());
+    if (recorder != nullptr) {
+      machine->add_observer(recorder);
+      recorder->begin_run();
+    }
+    if (flow_audit != nullptr) {
+      machine->add_observer(flow_audit);
+      flow_audit->begin_run();
+    }
+    const interp::RunResult run = machine->run(*scheduler);
+    if (recorder != nullptr) recorder->finish_run(*machine);
+    budget.charge_steps(run.steps);
+    if (atomicity.has_value()) {
+      std::vector<race::RaceReport> converted;
+      for (const race::AtomicityReport& report : atomicity->take_reports()) {
+        converted.push_back(report.to_race_report());
+      }
+      race::merge_reports(merged, std::move(converted));
+      continue;
+    }
+    // Read before take_reports(), which flushes the counters to the
+    // metrics registry and zeroes them.
+    state.result.audit.prescreen +=
+        detector->substrate_counters().prescreen_audit_violations;
+    race::merge_reports(merged, detector->take_reports());
+  }
+  return merged;
+}
+
+/// Steps (1)/(2)'s detector runs as one retried unit. Every attempt
+/// re-enters the detection stage in the injector — so the annotation
+/// re-run probes as detection, and each attempt's probes count afresh —
+/// with a fresh budget and a rotated seed; the non-throwing faults of the
+/// attempt that succeeded are attributed to detection. nullopt means
+/// every attempt threw (the caller picks the fallback).
+std::optional<std::vector<race::RaceReport>> detect(
+    RunState& state, const race::AnnotationSet* annotations) {
+  const support::RetryPolicy& retry = state.options.retry;
+  support::Budget budget;
+  std::vector<race::RaceReport> merged;
+  const std::optional<UnitFailure> failure = run_unit(
+      state, retry.max_attempts(),
+      [&](unsigned attempt) {
+        if (state.injector != nullptr) {
+          state.injector->begin_stage(PipelineStage::kDetection);
+        }
+        budget = support::Budget(
+            retry.budget_for(state.options.stage_budgets.detection, attempt));
+      },
+      [&](unsigned attempt) {
+        merged = detect_once(state, annotations,
+                             retry.seed_for(state.target.seed, attempt),
+                             budget);
+        attribute_injected(state.injector, state.result.counts,
+                           PipelineStage::kDetection);
+      });
+  if (!failure.has_value()) return merged;
+  record_failure(state.result.counts, PipelineStage::kDetection,
+                 FailureCause::kException, failure->what,
+                 budget.steps_spent(), budget.elapsed_seconds(),
+                 failure->retries);
+  return std::nullopt;
+}
+
+// ---- the stage bodies, in pipeline order ----
+
+/// Step (0): whole-module static analysis. Computed once per target, in
+/// every mode: the resolved indirect calls feed Algorithm 1, and the
+/// static counters flushed after the run are part of the behavioral
+/// snapshot (mode-independent, so the prescreen differential gate can
+/// byte-diff snapshots across modes). When it fails the run goes on
+/// without it: no prescreen, no checkers, value flow or repair, and
+/// Algorithm 1 without resolved callptr edges.
+void static_analysis(RunState& state) {
+  const analysis::ModuleStatic& facts =
+      state.module_static.emplace(*state.target.module);
+  if (!facts.prescreen.pruning_enabled()) {
+    OWL_LOG(kInfo) << state.target.name << ": prescreen pruning disabled ("
+                   << facts.prescreen.disable_reason() << ")";
+  } else if (state.options.prescreen != support::AuditMode::kOff) {
+    state.prescreen.mode = state.options.prescreen;
+    state.prescreen.no_race = &facts.prescreen.no_race();
+  }
+}
+
+/// Checker suite (DESIGN.md §11): static detection of deadlock /
+/// atomicity / lock-mismatch / CV-misuse bugs over the step-(0) facts,
+/// with lock-order cycles confirmed by scheduler replay.
+void checkers_stage(RunState& state) {
+  const checkers::AnalysisContext ctx(*state.target.module,
+                                      *state.module_static,
+                                      state.target.factory);
+  PipelineResult& result = state.result;
+  result.checker_findings = checkers::run_checkers(state.options.checkers, ctx);
+  result.counts.checker_findings = result.checker_findings.size();
+  OWL_LOG(kInfo) << state.target.name << ": "
+                 << result.checker_findings.size() << " checker finding(s) ["
+                 << state.options.checkers.canonical() << "]";
+}
+
+/// Value-flow graph (--vuln-flow on/audit, DESIGN.md §14). Off-mode runs
+/// never construct the graph, never emit its metrics, and stay
+/// byte-identical; a failed build leaves Algorithm 1 register-only.
+void value_flow_stage(RunState& state) {
+  state.value_flow.emplace(*state.target.module,
+                           state.module_static->points_to,
+                           state.module_static->resolved_calls);
+}
+
+/// Step (1): raw detection.
+void detection(RunState& state) {
+  state.raw = detect(state, nullptr).value_or(std::vector<race::RaceReport>{});
+  state.result.counts.raw_reports = state.raw.size();
+  state.result.store.set_stage(Stage::kRawDetection, state.raw);
+  OWL_LOG(kInfo) << state.target.name << ": " << state.raw.size()
+                 << " raw race reports";
+}
+
+/// Step (2): adhoc-sync annotation (preset or classified from the raw
+/// reports) and a detection re-run under it; a failed classification or
+/// re-run keeps the raw reports.
+void annotation(RunState& state) {
+  StageCounts& counts = state.result.counts;
+  const race::AnnotationSet* annotations = state.options.preset_annotations;
+  std::optional<sync::AnnotationOutcome> outcome;
+  if (annotations != nullptr) {
+    counts.adhoc_syncs = annotations->pair_count();
+  } else if (state.options.enable_adhoc_annotation) {
+    if (const auto failure = run_unit(state, 1, [&](unsigned) {
+          outcome = sync::annotate_adhoc_syncs(*state.target.module,
+                                               state.raw);
+        })) {
+      record_failure(counts, PipelineStage::kAnnotation,
+                     FailureCause::kException, failure->what);
+    }
+    if (outcome.has_value()) {
+      counts.adhoc_syncs = outcome->unique_adhoc_syncs;
+      annotations = &outcome->annotations;
+    }
+  }
+  std::optional<std::vector<race::RaceReport>> rerun;
+  if (annotations != nullptr && !annotations->empty()) {
+    rerun = detect(state, annotations);
+  }
+  state.reduced = rerun.has_value() ? std::move(*rerun) : std::move(state.raw);
+  counts.after_annotation = state.reduced.size();
+  state.result.store.set_stage(Stage::kAfterAnnotation, state.reduced);
+  OWL_LOG(kInfo) << state.target.name << ": " << state.reduced.size()
+                 << " reports after annotation (" << counts.adhoc_syncs
+                 << " adhoc syncs)";
+}
+
+/// Sync-preserving race prediction (DESIGN.md §12). Decides, from the
+/// traces the detection schedules already produced, which reduced
+/// reports any sync-preserving reordering could co-enable — and which
+/// unreported pairs could race. kOn prunes the verifier's input to the
+/// feasible set and adds the predicted-new candidates (each still
+/// subject to replay confirmation); kAudit computes verdicts only and
+/// cross-checks them after verification. A predictor failure degrades to
+/// exhaustive behavior: nothing pruned, nothing added.
+void predict(RunState& state) {
+  StageCounts& counts = state.result.counts;
+  const race::predict::SpPredictor predictor;
+  const race::predict::PredictOutcome& outcome =
+      state.predict_outcome.emplace(predictor.analyze(
+          state.target.module, state.trace_recorder.traces(), state.reduced));
+  counts.predict_candidates = outcome.candidates;
+  const auto infeasible = [&outcome](const race::RaceReport& report) {
+    return outcome.verdict_for(report.key()) ==
+           race::predict::Feasibility::kInfeasible;
+  };
+  counts.predict_pruned = static_cast<std::size_t>(
+      std::count_if(state.reduced.begin(), state.reduced.end(), infeasible));
+  if (state.options.predict == support::AuditMode::kOn) {
+    std::erase_if(state.reduced, infeasible);
+    state.reduced.insert(state.reduced.end(), outcome.predicted_new.begin(),
+                         outcome.predicted_new.end());
+    std::sort(state.reduced.begin(), state.reduced.end(), race::report_order);
+    // Every pruned report would have burned its full attempt budget (an
+    // infeasible pair never verifies, and failure has no early exit) —
+    // that is the exploration this stage saves.
+    counts.predict_schedules_avoided =
+        counts.predict_pruned * state.options.race_verifier_attempts;
+  }
+  OWL_LOG(kInfo) << state.target.name << ": predict checked "
+                 << outcome.candidates << " candidate pair(s), "
+                 << counts.predict_pruned << " infeasible, "
+                 << outcome.predicted_new.size() << " predicted-new";
+}
+
+/// Step (3): dynamic race verification, one retried unit per report.
+/// Reports a deadline or a livelock leaves unverified pass through
+/// (conservative: degradation must not hide attacks); predicted
+/// candidates never do — they are hypotheses, not observations.
+void race_verification(RunState& state) {
+  const PipelineOptions& options = state.options;
+  StageCounts& counts = state.result.counts;
+  std::vector<race::RaceReport>& reduced = state.reduced;
+  support::Budget stage_budget(options.stage_budgets.race_verification);
+  std::size_t livelocked_reports = 0;
+  std::size_t passed_through = 0;
+  bool exception_recorded = false;
+  const auto pass_through = [&](const race::RaceReport& report) {
+    if (!options.keep_unverified_on_degradation || report.predicted) {
+      return false;
+    }
+    state.survivors.push_back(report);
+    return true;
+  };
+  for (std::size_t r = 0; r < reduced.size(); ++r) {
+    race::RaceReport& report = reduced[r];
+    if (const auto cause = stage_budget.exhausted_by()) {
+      record_failure(counts, PipelineStage::kRaceVerification, *cause,
+                     str_format("%zu of %zu reports passed through "
+                                "unverified",
+                                reduced.size() - r, reduced.size()),
+                     stage_budget.steps_spent(),
+                     stage_budget.elapsed_seconds());
+      for (std::size_t k = r; k < reduced.size(); ++k) {
+        pass_through(reduced[k]);
+      }
+      break;
+    }
+    verify::RaceVerifyResult vr;
+    const auto failure = run_unit(
+        state, options.retry.max_attempts(), [&](unsigned attempt) {
+          verify::RaceVerifier::Options vopts;
+          vopts.max_attempts = options.race_verifier_attempts;
+          vopts.base_seed =
+              options.retry.seed_for(state.target.seed * 7919 + 13, attempt);
+          vopts.fault_injector = state.injector;
+          // Schedule-exploration sharding: the verifier itself falls back
+          // to the sequential loop whenever a budget or the injector makes
+          // attempts order-dependent.
+          vopts.pool = options.verifier_pool;
+          vopts.budget =
+              options.retry.budget_for(what_is_left(stage_budget), attempt);
+          vr = verify::RaceVerifier(vopts).verify(report, state.target.factory);
+        });
+    if (failure.has_value()) {
+      if (!exception_recorded) {
+        // One record per stage; repeating it per report is noise.
+        record_failure(counts, PipelineStage::kRaceVerification,
+                       FailureCause::kException, failure->what, 0, 0.0,
+                       failure->retries);
+        exception_recorded = true;
+      }
+      if (pass_through(report)) ++passed_through;
+      continue;
+    }
+    stage_budget.charge_steps(vr.steps_spent);
+    if (vr.verified) {
+      state.survivors.push_back(report);
+    } else if (vr.livelocked || vr.budget_exhausted) {
+      ++livelocked_reports;
+      if (pass_through(report)) ++passed_through;
+    }
+    // else: cleanly eliminated (the R.V.E. path).
+  }
+  if (livelocked_reports > 0) {
+    record_failure(
+        counts, PipelineStage::kRaceVerification, FailureCause::kLivelock,
+        str_format("%zu report(s) livelocked or ran out of budget; %zu "
+                   "passed through unverified",
+                   livelocked_reports, passed_through),
+        stage_budget.steps_spent(), stage_budget.elapsed_seconds());
+  }
+  // Elimination is counted against the *detector's* reduced set, so the
+  // Table 3 column means the same thing in every predict mode: a report
+  // the predictor pruned counts as eliminated (the verifier would have
+  // eliminated it dynamically), while a confirmed predicted-new report
+  // is an addition, not a survivor of reduction.
+  std::size_t detector_survivors = 0;
+  for (const race::RaceReport& report : state.survivors) {
+    if (!report.predicted) ++detector_survivors;
+    else ++counts.predict_new_confirmed;
+  }
+  counts.verifier_eliminated =
+      counts.after_annotation >= detector_survivors
+          ? counts.after_annotation - detector_survivors
+          : 0;
+}
+
+/// Settles step (3)'s output whether the verifier ran, threw or is off:
+/// the surviving set, its Table 3 count, and the audits that cross-check
+/// against it.
+void settle_survivors(RunState& state) {
+  PipelineResult& result = state.result;
+  if (!result.counts.ran(PipelineStage::kRaceVerification)) {
+    // Without the verifier there is no replay confirmation, so predicted
+    // candidates are dropped rather than reported as observations.
+    for (race::RaceReport& report : state.reduced) {
+      if (!report.predicted) state.survivors.push_back(std::move(report));
+    }
+  }
+  result.counts.remaining = state.survivors.size();
+  result.store.set_stage(Stage::kAfterRaceVerifier,
+                         std::move(state.survivors));
+  OWL_LOG(kInfo) << state.target.name << ": " << result.counts.remaining
+                 << " verified races remain";
+
+  // Audit cross-check: a replay-confirmed data race the predictor called
+  // infeasible falsifies the pruning verdict — with --predict on that race
+  // would have been lost. A non-zero count exits 3 from owl_cli and
+  // owl_served.
+  if (state.options.predict == support::AuditMode::kAudit &&
+      state.predict_outcome.has_value()) {
+    for (const race::RaceReport& report :
+         result.store.stage(Stage::kAfterRaceVerifier)) {
+      if (report.kind == race::ReportKind::kDataRace && report.verified &&
+          state.predict_outcome->verdict_for(report.key()) ==
+              race::predict::Feasibility::kInfeasible) {
+        ++result.audit.predict;
+      }
+    }
+    support::metrics().advisory("predict.audit_violations")
+        .inc(result.audit.predict);
   }
 
- private:
-  StageTimings* timings_;
-  const char* stage_;
-  std::chrono::steady_clock::time_point start_;
-  bool stopped_ = false;
+  // Flow-audit cross-check: every store→load dependence the detection
+  // schedules actually exhibited must be explained by a static mem edge
+  // (or flagged unknown on either side). An uncovered pair means the
+  // value-flow graph would have missed a real memory-mediated propagation
+  // — a soundness violation. A non-zero count exits 3, like the
+  // prescreen and predict audits.
+  if (const FlowAuditRecorder* flow_audit = state.flow_audit()) {
+    for (const auto& [writer, reader] : flow_audit->pairs()) {
+      if (!state.value_flow->covers(writer, reader)) ++result.audit.vuln_flow;
+    }
+    support::metrics().advisory("vulnflow.audit_violations")
+        .inc(result.audit.vuln_flow);
+  }
+}
+
+/// Step (4): static vulnerability analysis (Algorithm 1), one unit per
+/// surviving race.
+void vuln_analysis(RunState& state) {
+  PipelineResult& result = state.result;
+  vuln::VulnerabilityAnalyzer::Options aopts;
+  aopts.mode = state.options.analyzer_mode;
+  if (state.module_static.has_value()) {
+    aopts.resolved_indirect = &state.module_static->resolved_calls;
+  }
+  if (state.value_flow.has_value()) aopts.value_flow = &*state.value_flow;
+  const vuln::VulnerabilityAnalyzer analyzer(*state.target.module, aopts);
+  const std::vector<race::RaceReport>& reports =
+      result.store.stage(Stage::kAfterRaceVerifier);
+  support::Budget budget(state.options.stage_budgets.vuln_analysis);
+  double analysis_seconds = 0.0;
+  std::size_t analysis_failures = 0;
+  std::string analysis_error;
+  for (std::size_t r = 0; r < reports.size(); ++r) {
+    if (const auto cause = budget.exhausted_by()) {
+      record_failure(result.counts, PipelineStage::kVulnAnalysis, *cause,
+                     str_format("%zu of %zu reports unanalyzed",
+                                reports.size() - r, reports.size()),
+                     budget.steps_spent(), budget.elapsed_seconds());
+      break;
+    }
+    if (const auto failure = run_unit(state, 1, [&](unsigned) {
+          const vuln::VulnAnalysis analysis = analyzer.analyze(reports[r]);
+          analysis_seconds += analysis.stats.seconds;
+          result.exploits.insert(result.exploits.end(),
+                                 analysis.exploits.begin(),
+                                 analysis.exploits.end());
+          state.exploit_race.resize(result.exploits.size(), r);
+        })) {
+      ++analysis_failures;
+      analysis_error = failure->what;
+    }
+  }
+  if (analysis_failures > 0) {
+    record_failure(result.counts, PipelineStage::kVulnAnalysis,
+                   FailureCause::kException,
+                   str_format("%zu report(s) unanalyzable: %s",
+                              analysis_failures, analysis_error.c_str()));
+  }
+  result.counts.vulnerability_reports = result.exploits.size();
+  result.counts.avg_analysis_seconds =
+      reports.empty()
+          ? 0.0
+          : analysis_seconds / static_cast<double>(reports.size());
+  OWL_LOG(kInfo) << state.target.name << ": " << result.exploits.size()
+                 << " vulnerability reports";
+}
+
+/// Step (5): dynamic vulnerability verification, one retried unit per
+/// exploit candidate.
+void vuln_verification(RunState& state) {
+  const PipelineOptions& options = state.options;
+  const PipelineTarget& target = state.target;
+  PipelineResult& result = state.result;
+  const race::MachineFactory& factory =
+      target.exploit_factory ? target.exploit_factory : target.factory;
+  const std::vector<race::RaceReport>& reports =
+      result.store.stage(Stage::kAfterRaceVerifier);
+  support::Budget stage_budget(options.stage_budgets.vuln_verification);
+  std::size_t livelocked_exploits = 0;
+  bool exception_recorded = false;
+  for (std::size_t c = 0; c < result.exploits.size(); ++c) {
+    const vuln::ExploitReport& exploit = result.exploits[c];
+    const race::RaceReport& race = reports[state.exploit_race[c]];
+    if (const auto cause = stage_budget.exhausted_by()) {
+      record_failure(result.counts, PipelineStage::kVulnVerification, *cause,
+                     str_format("%zu of %zu exploit candidates unverified",
+                                result.exploits.size() - c,
+                                result.exploits.size()),
+                     stage_budget.steps_spent(),
+                     stage_budget.elapsed_seconds());
+      break;
+    }
+    verify::VulnVerifyResult vr;
+    const auto failure = run_unit(
+        state, options.retry.max_attempts(), [&](unsigned attempt) {
+          verify::VulnVerifier::Options vopts;
+          vopts.max_attempts = options.vuln_verifier_attempts;
+          vopts.base_seed =
+              options.retry.seed_for(target.seed * 104729 + 7, attempt);
+          vopts.thread_order = target.thread_order;
+          vopts.fault_injector = state.injector;
+          vopts.budget =
+              options.retry.budget_for(what_is_left(stage_budget), attempt);
+          vr = verify::VulnVerifier(vopts).verify(exploit, factory, &race);
+        });
+    if (failure.has_value()) {
+      if (!exception_recorded) {
+        record_failure(result.counts, PipelineStage::kVulnVerification,
+                       FailureCause::kException, failure->what, 0, 0.0,
+                       failure->retries);
+        exception_recorded = true;
+      }
+      continue;
+    }
+    stage_budget.charge_steps(vr.steps_spent);
+    if (vr.livelocked) ++livelocked_exploits;
+    if (!vr.site_reached) continue;
+    ConcurrencyAttack attack;
+    attack.program = target.name;
+    attack.race = race;
+    attack.exploit = exploit;
+    attack.verification = vr;
+    result.attacks.push_back(std::move(attack));
+  }
+  if (livelocked_exploits > 0) {
+    record_failure(result.counts, PipelineStage::kVulnVerification,
+                   FailureCause::kLivelock,
+                   str_format("%zu exploit session(s) livelocked",
+                              livelocked_exploits),
+                   stage_budget.steps_spent(),
+                   stage_budget.elapsed_seconds());
+  }
+  OWL_LOG(kInfo) << target.name << ": " << result.attacks.size()
+                 << " attack candidates reached their site, "
+                 << result.confirmed_attacks() << " realized";
+}
+
+/// Automated race repair (DESIGN.md §13): synthesize candidate patches for
+/// the confirmed races, verify each by re-running the pipeline machinery
+/// on the patched module (race-freedom incl. --predict on, checker
+/// differential, output equivalence), report the first winner. Nested
+/// verification pipelines run with repair disabled — the stage never
+/// recurses.
+void repair_stage(RunState& state) {
+  PipelineResult& result = state.result;
+  std::vector<race::RaceReport> confirmed;
+  for (const race::RaceReport& report :
+       result.store.stage(Stage::kAfterRaceVerifier)) {
+    if (report.verified) confirmed.push_back(report);
+  }
+  result.repair = repair::attempt_repair(state.target, state.options,
+                                         *state.module_static, confirmed);
+  OWL_LOG(kInfo) << state.target.name << ": repair " << result.repair.status
+                 << " (" << result.repair.candidates_tried
+                 << " candidate(s) tried)";
+}
+
+/// A repair stage that threw reports "unrepaired" with nothing tried.
+void settle_repair(RunState& state) {
+  PipelineResult& result = state.result;
+  if (!result.counts.ran(PipelineStage::kRepair)) return;
+  if (result.repair.status.empty()) result.repair.status = "unrepaired";
+  result.counts.repair_status = result.repair.status;
+  result.counts.repair_candidates = result.repair.candidates_tried;
+}
+
+/// One row of the stage table.
+struct StageEntry {
+  PipelineStage id;  ///< also names the stage's span and --timings row
+  /// The Fig. 3 stages probe for faults per unit of work (run_unit); the
+  /// others once, at entry.
+  bool per_unit;
+  bool (*enabled)(const RunState&);  ///< null: always runs
+  void (*body)(RunState&);
+  void (*settle)(RunState&);  ///< runs even if the stage threw or was off
 };
+
+/// The pipeline, in order. A stage that failed leaves its RunState facts
+/// at their defaults for the rows below it.
+constexpr StageEntry kStages[] = {
+    {PipelineStage::kStaticAnalysis, false,
+     [](const RunState& s) { return s.target.module != nullptr; },
+     static_analysis, nullptr},
+    {PipelineStage::kCheckers, false,
+     [](const RunState& s) {
+       return s.options.checkers.any() && s.module_static.has_value();
+     },
+     checkers_stage, nullptr},
+    {PipelineStage::kValueFlow, false,
+     [](const RunState& s) {
+       return s.options.vuln_flow != support::AuditMode::kOff &&
+              s.module_static.has_value();
+     },
+     value_flow_stage, nullptr},
+    {PipelineStage::kDetection, true, nullptr, detection, nullptr},
+    {PipelineStage::kAnnotation, true, nullptr, annotation, nullptr},
+    {PipelineStage::kPredict, false,
+     [](const RunState& s) { return s.predict_active(); }, predict, nullptr},
+    {PipelineStage::kRaceVerification, true,
+     [](const RunState& s) { return s.options.enable_race_verifier; },
+     race_verification, settle_survivors},
+    {PipelineStage::kVulnAnalysis, true, nullptr, vuln_analysis, nullptr},
+    {PipelineStage::kVulnVerification, true,
+     [](const RunState& s) { return s.options.enable_vuln_verifier; },
+     vuln_verification, nullptr},
+    {PipelineStage::kRepair, false,
+     [](const RunState& s) {
+       return s.options.repair.enabled && s.module_static.has_value();
+     },
+     repair_stage, settle_repair},
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The stage runner. An enabled stage gets its trace span, its ran bit,
+/// its fault-injector context and (unless per-unit) its entry fault
+/// probe; a throw out of its body becomes the stage's FailureRecord
+/// instead of leaving Pipeline::run; its wall clock goes to --timings.
+void run_stage(const StageEntry& stage, RunState& state) {
+  if (stage.enabled == nullptr || stage.enabled(state)) {
+    const std::string_view name = support::pipeline_stage_name(stage.id);
+    const auto start = std::chrono::steady_clock::now();
+    {
+      TRACE_SPAN(name, state.target.name);
+      state.result.counts.mark_ran(stage.id);
+      if (state.injector != nullptr) state.injector->begin_stage(stage.id);
+      try {
+        if (!stage.per_unit && state.injector != nullptr) {
+          state.injector->maybe_throw();
+        }
+        stage.body(state);
+      } catch (const std::exception& error) {
+        record_failure(state.result.counts, stage.id,
+                       FailureCause::kException, error.what());
+      }
+    }
+    if (state.options.stage_timings != nullptr) {
+      state.options.stage_timings->record(name, seconds_since(start));
+    }
+  }
+  if (stage.settle != nullptr) stage.settle(state);
+}
 
 }  // namespace
 
@@ -161,692 +825,19 @@ std::size_t PipelineResult::confirmed_attacks() const noexcept {
   return n;
 }
 
-std::vector<race::RaceReport> Pipeline::detect_once(
-    const PipelineTarget& target, const race::AnnotationSet* annotations,
-    race::PrescreenView prescreen, std::uint64_t base_seed,
-    support::Budget& budget, PipelineResult& result,
-    race::predict::TraceRecorder* recorder,
-    FlowAuditRecorder* flow_audit) const {
-  FaultInjector* injector = options_.fault_injector;
-  std::vector<race::RaceReport> merged;
-  // Each pass starts a fresh trace set: the predict stage reasons over the
-  // final (annotated, when there is one) pass — the same report stream the
-  // verifier sees.
-  if (recorder != nullptr) recorder->begin_pass(annotations);
-  for (unsigned i = 0; i < target.detection_schedules; ++i) {
-    if (const auto cause = budget.exhausted_by()) {
-      record_failure(result.counts, PipelineStage::kDetection, *cause,
-                     str_format("%u of %u schedules skipped",
-                                target.detection_schedules - i,
-                                target.detection_schedules),
-                     budget.steps_spent(), budget.elapsed_seconds());
-      break;
-    }
-    TRACE_SPAN("detect-schedule", target.name);
-    support::metrics().counter("pipeline.detection_schedules").inc();
-    std::unique_ptr<interp::Machine> machine = target.factory();
-    machine->set_fault_injector(injector);
-    if (target.detector == DetectorKind::kAtomicity) {
-      // §8.3 extension: an atomicity-violation detector feeding the same
-      // report stream. Annotations do not apply (the triples are already
-      // schedule-classified), so `annotations` is intentionally unused.
-      race::AtomicityDetector detector;
-      machine->add_observer(&detector);
-      if (recorder != nullptr) {
-        machine->add_observer(recorder);
-        recorder->begin_run();
-      }
-      if (flow_audit != nullptr) {
-        machine->add_observer(flow_audit);
-        flow_audit->begin_run();
-      }
-      interp::RandomScheduler scheduler(base_seed + i);
-      const interp::RunResult run = machine->run(scheduler);
-      if (recorder != nullptr) recorder->finish_run(*machine);
-      budget.charge_steps(run.steps);
-      std::vector<race::RaceReport> converted;
-      for (const race::AtomicityReport& report : detector.take_reports()) {
-        converted.push_back(report.to_race_report());
-      }
-      race::merge_reports(merged, std::move(converted));
-      continue;
-    }
-    std::unique_ptr<race::TsanDetector> detector;
-    std::unique_ptr<interp::Scheduler> scheduler;
-    if (target.detector == DetectorKind::kSki) {
-      detector = std::make_unique<race::SkiDetector>(
-          annotations, options_.detector_impl, prescreen);
-      scheduler = std::make_unique<interp::PctScheduler>(
-          base_seed + i, /*depth=*/3, /*expected_steps=*/20000);
-    } else {
-      detector = std::make_unique<race::TsanDetector>(
-          annotations, /*ski_watch_mode=*/false, options_.detector_impl,
-          prescreen);
-      scheduler = std::make_unique<interp::RandomScheduler>(base_seed + i);
-    }
-    machine->add_observer(detector.get());
-    if (recorder != nullptr) {
-      machine->add_observer(recorder);
-      recorder->begin_run();
-    }
-    if (flow_audit != nullptr) {
-      machine->add_observer(flow_audit);
-      flow_audit->begin_run();
-    }
-    const interp::RunResult run = machine->run(*scheduler);
-    if (recorder != nullptr) recorder->finish_run(*machine);
-    budget.charge_steps(run.steps);
-    // Read before take_reports(), which flushes the counters to the
-    // metrics registry and zeroes them.
-    result.audit.prescreen +=
-        detector->substrate_counters().prescreen_audit_violations;
-    race::merge_reports(merged, detector->take_reports());
-  }
-  return merged;
-}
-
-std::optional<std::vector<race::RaceReport>> Pipeline::detect(
-    const PipelineTarget& target, const race::AnnotationSet* annotations,
-    race::PrescreenView prescreen, PipelineResult& result,
-    race::predict::TraceRecorder* recorder,
-    FlowAuditRecorder* flow_audit) const {
-  FaultInjector* injector = options_.fault_injector;
-  const support::RetryPolicy& retry = options_.retry;
-  StageCounts& counts = result.counts;
-  for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kDetection);
-    }
-    support::Budget budget(
-        retry.budget_for(options_.stage_budgets.detection, attempt));
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      std::vector<race::RaceReport> merged = detect_once(
-          target, annotations, prescreen,
-          retry.seed_for(target.seed, attempt), budget, result, recorder,
-          flow_audit);
-      counts.retries_used += attempt;
-      attribute_injected(injector, counts, PipelineStage::kDetection);
-      return merged;
-    } catch (const std::exception& error) {
-      if (attempt + 1 >= retry.max_attempts()) {
-        record_failure(counts, PipelineStage::kDetection,
-                       FailureCause::kException, error.what(),
-                       budget.steps_spent(), budget.elapsed_seconds(),
-                       attempt);
-        counts.retries_used += attempt;
-        return std::nullopt;
-      }
-      OWL_LOG(kInfo) << target.name << ": detection attempt " << attempt
-                     << " failed (" << error.what()
-                     << "), retrying with rotated seed";
-    }
-  }
-  return std::nullopt;
-}
-
 PipelineResult Pipeline::run(const PipelineTarget& target) const {
   const auto t0 = std::chrono::steady_clock::now();
   TRACE_SPAN("target", target.name);
   support::metrics().counter("pipeline.targets").inc();
   PipelineResult result;
   result.target_name = target.name;
-  FaultInjector* injector = options_.fault_injector;
-  const support::RetryPolicy& retry = options_.retry;
-  if (injector != nullptr) injector->begin_target(target.name);
-
-  // ---- step (0): whole-module static analysis ----
-  // Computed once per target, in every mode: the resolved indirect calls
-  // feed Algorithm 1 unconditionally, and the static counters flushed
-  // below are part of the behavioral snapshot (mode-independent, so the
-  // prescreen differential gate can byte-diff snapshots across modes).
-  std::optional<analysis::ModuleStatic> module_static;
-  if (target.module != nullptr) {
-    TRACE_SPAN("static-analysis", target.name);
-    const StageTimer timer(options_.stage_timings, "static-analysis");
-    module_static.emplace(*target.module);
+  if (options_.fault_injector != nullptr) {
+    options_.fault_injector->begin_target(target.name);
   }
-  race::PrescreenView prescreen;
-  if (options_.prescreen != support::AuditMode::kOff &&
-      module_static.has_value() &&
-      module_static->prescreen.pruning_enabled()) {
-    prescreen.mode = options_.prescreen;
-    prescreen.no_race = &module_static->prescreen.no_race();
-  }
-  if (module_static.has_value() &&
-      !module_static->prescreen.pruning_enabled()) {
-    OWL_LOG(kInfo) << target.name << ": prescreen pruning disabled ("
-                   << module_static->prescreen.disable_reason() << ")";
-  }
+  RunState state{options_, target, result, options_.fault_injector};
+  for (const StageEntry& stage : kStages) run_stage(stage, state);
 
-  // ---- checker suite (optional, DESIGN.md §11) ----
-  // Static detection of deadlock / atomicity / lock-mismatch / CV-misuse
-  // bugs over the step-(0) facts, with lock-order cycles confirmed by
-  // scheduler replay through target.factory. Degrades, never dies: a
-  // throwing checker leaves a FailureRecord and the Fig. 3 stages run on.
-  if (options_.checkers.any() && module_static.has_value()) {
-    TRACE_SPAN("checkers", target.name);
-    const StageTimer timer(options_.stage_timings, "checkers");
-    if (injector != nullptr) injector->begin_stage(PipelineStage::kCheckers);
-    result.counts.checkers_ran = true;
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      const checkers::AnalysisContext ctx(*target.module, *module_static,
-                                          target.factory);
-      result.checker_findings = checkers::run_checkers(options_.checkers, ctx);
-    } catch (const std::exception& error) {
-      record_failure(result.counts, PipelineStage::kCheckers,
-                     FailureCause::kException, error.what());
-      result.checker_findings.clear();
-    }
-    result.counts.checker_findings = result.checker_findings.size();
-    OWL_LOG(kInfo) << target.name << ": " << result.checker_findings.size()
-                   << " checker finding(s) ["
-                   << options_.checkers.canonical() << "]";
-  }
-
-  // ---- value-flow graph (--vuln-flow on/audit, DESIGN.md §14) ----
-  // Built only when the mode asks for it: off-mode runs never construct
-  // the graph, never emit its metrics, and stay byte-identical.
-  std::optional<analysis::ValueFlowGraph> value_flow;
-  if (options_.vuln_flow != support::AuditMode::kOff &&
-      target.module != nullptr && module_static.has_value()) {
-    TRACE_SPAN("value-flow", target.name);
-    const StageTimer timer(options_.stage_timings, "value-flow");
-    value_flow.emplace(*target.module, module_static->points_to,
-                       module_static->resolved_calls);
-  }
-  FlowAuditRecorder flow_recorder;
-  FlowAuditRecorder* flow_audit =
-      options_.vuln_flow == support::AuditMode::kAudit &&
-              value_flow.has_value()
-          ? &flow_recorder
-          : nullptr;
-
-  // Event-trace capture for the predict stage (DESIGN.md §12): attached to
-  // every detection pass; only the last pass's traces survive, so the
-  // predictor reasons over exactly the executions that produced `reduced`.
-  // Atomicity targets are out of SP theory's scope and never record.
-  const bool predict_active = options_.predict != support::AuditMode::kOff &&
-                              target.detector != DetectorKind::kAtomicity &&
-                              target.module != nullptr;
-  race::predict::TraceRecorder trace_recorder;
-  race::predict::TraceRecorder* recorder =
-      predict_active ? &trace_recorder : nullptr;
-
-  // ---- step (1): raw detection ----
-  std::vector<race::RaceReport> raw;
-  {
-    TRACE_SPAN("detection", target.name);
-    const StageTimer timer(options_.stage_timings, "detection");
-    raw = detect(target, nullptr, prescreen, result, recorder, flow_audit)
-              .value_or(std::vector<race::RaceReport>{});
-  }
-  result.counts.raw_reports = raw.size();
-  OWL_LOG(kInfo) << target.name << ": " << raw.size() << " raw race reports";
-
-  // ---- step (2): adhoc-sync annotation + re-run ----
-  if (injector != nullptr) injector->begin_stage(PipelineStage::kAnnotation);
-  std::vector<race::RaceReport> reduced;
-  result.store.set_stage(Stage::kRawDetection, raw);
-  {
-    TRACE_SPAN("annotation", target.name);
-    const StageTimer annotation_timer(options_.stage_timings, "annotation");
-    if (options_.preset_annotations != nullptr) {
-      result.counts.adhoc_syncs = options_.preset_annotations->pair_count();
-      if (options_.preset_annotations->empty()) {
-        reduced = std::move(raw);
-      } else {
-        reduced = detect(target, options_.preset_annotations, prescreen,
-                         result, recorder, flow_audit)
-                      .value_or(raw);  // degraded re-run: keep raw reports
-      }
-    } else if (options_.enable_adhoc_annotation) {
-      std::optional<sync::AnnotationOutcome> outcome;
-      try {
-        if (injector != nullptr) injector->maybe_throw();
-        outcome = sync::annotate_adhoc_syncs(*target.module, raw);
-      } catch (const std::exception& error) {
-        record_failure(result.counts, PipelineStage::kAnnotation,
-                       FailureCause::kException, error.what());
-      }
-      if (outcome.has_value() && !outcome->annotations.empty()) {
-        result.counts.adhoc_syncs = outcome->unique_adhoc_syncs;
-        reduced = detect(target, &outcome->annotations, prescreen, result,
-                         recorder, flow_audit)
-                      .value_or(raw);  // degraded re-run: keep raw reports
-      } else {
-        if (outcome.has_value()) {
-          result.counts.adhoc_syncs = outcome->unique_adhoc_syncs;
-        }
-        reduced = std::move(raw);
-      }
-    } else {
-      reduced = std::move(raw);
-    }
-  }
-  result.counts.after_annotation = reduced.size();
-  result.store.set_stage(Stage::kAfterAnnotation, reduced);
-  OWL_LOG(kInfo) << target.name << ": " << reduced.size()
-                 << " reports after annotation ("
-                 << result.counts.adhoc_syncs << " adhoc syncs)";
-
-  // ---- predict stage: sync-preserving race prediction (DESIGN.md §12) ----
-  // Decides, from the traces the detection schedules already produced,
-  // which reduced reports any sync-preserving reordering could co-enable —
-  // and which unreported pairs could race. kOn prunes the verifier's input
-  // to the feasible set and adds the predicted-new candidates (each still
-  // subject to replay confirmation below); kAudit computes verdicts only
-  // and cross-checks them after verification. A predictor failure degrades
-  // to exhaustive behavior: nothing pruned, nothing added.
-  const std::size_t reduced_from_detector = reduced.size();
-  std::optional<race::predict::PredictOutcome> predict_outcome;
-  if (predict_active) {
-    TRACE_SPAN("predict", target.name);
-    const StageTimer timer(options_.stage_timings, "predict");
-    if (injector != nullptr) injector->begin_stage(PipelineStage::kPredict);
-    result.counts.predict_ran = true;
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      const race::predict::SpPredictor predictor;
-      predict_outcome =
-          predictor.analyze(target.module, trace_recorder.traces(), reduced);
-    } catch (const std::exception& error) {
-      record_failure(result.counts, PipelineStage::kPredict,
-                     FailureCause::kException, error.what());
-      predict_outcome.reset();
-    }
-    if (predict_outcome.has_value()) {
-      result.counts.predict_candidates = predict_outcome->candidates;
-      if (options_.predict == support::AuditMode::kOn) {
-        std::vector<race::RaceReport> kept;
-        kept.reserve(reduced.size() + predict_outcome->predicted_new.size());
-        for (race::RaceReport& report : reduced) {
-          if (predict_outcome->verdict_for(report.key()) ==
-              race::predict::Feasibility::kInfeasible) {
-            ++result.counts.predict_pruned;
-          } else {
-            kept.push_back(std::move(report));
-          }
-        }
-        for (const race::RaceReport& report :
-             predict_outcome->predicted_new) {
-          kept.push_back(report);
-        }
-        std::sort(kept.begin(), kept.end(), race::report_order);
-        reduced = std::move(kept);
-        // Every pruned report would have burned its full attempt budget
-        // (an infeasible pair never verifies, and failure has no early
-        // exit) — that is the exploration this stage saves.
-        result.counts.predict_schedules_avoided =
-            result.counts.predict_pruned * options_.race_verifier_attempts;
-      } else {
-        for (const race::RaceReport& report : reduced) {
-          if (predict_outcome->verdict_for(report.key()) ==
-              race::predict::Feasibility::kInfeasible) {
-            ++result.counts.predict_pruned;
-          }
-        }
-      }
-      OWL_LOG(kInfo) << target.name << ": predict checked "
-                     << predict_outcome->candidates << " candidate pair(s), "
-                     << result.counts.predict_pruned << " infeasible, "
-                     << predict_outcome->predicted_new.size()
-                     << " predicted-new";
-    }
-  }
-
-  // ---- step (3): dynamic race verification ----
-  std::vector<race::RaceReport> survivors;
-  if (options_.enable_race_verifier) {
-    TRACE_SPAN("race-verification", target.name);
-    const StageTimer timer(options_.stage_timings, "race-verification");
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kRaceVerification);
-    }
-    support::Budget stage_budget(options_.stage_budgets.race_verification);
-    std::size_t livelocked_reports = 0;
-    std::size_t passed_through = 0;
-    bool stage_exception_absorbed = false;
-    for (std::size_t r = 0; r < reduced.size(); ++r) {
-      race::RaceReport& report = reduced[r];
-      if (const auto cause = stage_budget.exhausted_by()) {
-        // Deadline hit mid-stage: the rest of the reports pass through
-        // unverified (conservative: degradation must not hide attacks).
-        record_failure(result.counts, PipelineStage::kRaceVerification,
-                       *cause,
-                       str_format("%zu of %zu reports passed through "
-                                  "unverified",
-                                  reduced.size() - r, reduced.size()),
-                       stage_budget.steps_spent(),
-                       stage_budget.elapsed_seconds());
-        for (std::size_t k = r; k < reduced.size(); ++k) {
-          // Predicted candidates never pass through unconfirmed: they are
-          // hypotheses, not observations.
-          if (options_.keep_unverified_on_degradation &&
-              !reduced[k].predicted) {
-            survivors.push_back(reduced[k]);
-          }
-        }
-        break;
-      }
-      verify::RaceVerifyResult vr;
-      bool verify_ran = false;
-      for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
-        verify::RaceVerifier::Options vopts;
-        vopts.max_attempts = options_.race_verifier_attempts;
-        vopts.base_seed =
-            retry.seed_for(target.seed * 7919 + 13, attempt);
-        vopts.fault_injector = injector;
-        // Schedule-exploration sharding: the verifier itself falls back
-        // to the sequential loop whenever a budget or the injector makes
-        // attempts order-dependent.
-        vopts.pool = options_.verifier_pool;
-        // One report may use what is left of the stage, grown per retry.
-        support::BudgetSpec per_report;
-        per_report.steps = stage_budget.remaining_steps() == UINT64_MAX
-                               ? 0
-                               : stage_budget.remaining_steps();
-        vopts.budget = retry.budget_for(per_report, attempt);
-        try {
-          if (injector != nullptr) injector->maybe_throw();
-          vr = verify::RaceVerifier(vopts).verify(report, target.factory);
-          verify_ran = true;
-          result.counts.retries_used += attempt;
-          break;
-        } catch (const std::exception& error) {
-          if (attempt + 1 >= retry.max_attempts()) {
-            if (!stage_exception_absorbed) {
-              // One record per stage; repeating it per report is noise.
-              record_failure(result.counts,
-                             PipelineStage::kRaceVerification,
-                             FailureCause::kException, error.what(), 0, 0.0,
-                             attempt);
-              stage_exception_absorbed = true;
-            }
-            result.counts.retries_used += attempt;
-          }
-        }
-      }
-      if (!verify_ran) {
-        if (options_.keep_unverified_on_degradation && !report.predicted) {
-          survivors.push_back(report);
-          ++passed_through;
-        }
-        continue;
-      }
-      stage_budget.charge_steps(vr.steps_spent);
-      if (vr.verified) {
-        survivors.push_back(report);
-      } else if (vr.livelocked || vr.budget_exhausted) {
-        ++livelocked_reports;
-        if (options_.keep_unverified_on_degradation && !report.predicted) {
-          survivors.push_back(report);
-          ++passed_through;
-        }
-      }
-      // else: cleanly eliminated (the R.V.E. path).
-    }
-    if (livelocked_reports > 0) {
-      record_failure(
-          result.counts, PipelineStage::kRaceVerification,
-          FailureCause::kLivelock,
-          str_format("%zu report(s) livelocked or ran out of budget; %zu "
-                     "passed through unverified",
-                     livelocked_reports, passed_through),
-          stage_budget.steps_spent(), stage_budget.elapsed_seconds());
-    }
-    // Elimination is counted against the *detector's* reduced set, so the
-    // Table 3 column means the same thing in every predict mode: a report
-    // the predictor pruned counts as eliminated (the verifier would have
-    // eliminated it dynamically), while a confirmed predicted-new report
-    // is an addition, not a survivor of reduction.
-    std::size_t detector_survivors = 0;
-    for (const race::RaceReport& report : survivors) {
-      if (!report.predicted) ++detector_survivors;
-      else ++result.counts.predict_new_confirmed;
-    }
-    result.counts.verifier_eliminated =
-        reduced_from_detector >= detector_survivors
-            ? reduced_from_detector - detector_survivors
-            : 0;
-  } else {
-    // Without the verifier there is no replay confirmation, so predicted
-    // candidates are dropped rather than reported as observations.
-    if (result.counts.predict_ran) {
-      survivors.reserve(reduced.size());
-      for (race::RaceReport& report : reduced) {
-        if (!report.predicted) survivors.push_back(std::move(report));
-      }
-    } else {
-      survivors = std::move(reduced);
-    }
-    result.counts.verifier_eliminated = 0;
-  }
-  result.counts.remaining = survivors.size();
-  result.store.set_stage(Stage::kAfterRaceVerifier, survivors);
-  OWL_LOG(kInfo) << target.name << ": " << survivors.size()
-                 << " verified races remain";
-
-  // Audit cross-check: a replay-confirmed data race the predictor called
-  // infeasible falsifies the pruning verdict — with --predict on that race
-  // would have been lost. A non-zero count exits 3 from owl_cli and
-  // owl_served.
-  if (options_.predict == support::AuditMode::kAudit &&
-      predict_outcome.has_value()) {
-    for (const race::RaceReport& report :
-         result.store.stage(Stage::kAfterRaceVerifier)) {
-      if (report.kind == race::ReportKind::kDataRace && report.verified &&
-          predict_outcome->verdict_for(report.key()) ==
-              race::predict::Feasibility::kInfeasible) {
-        ++result.audit.predict;
-      }
-    }
-    support::metrics().advisory("predict.audit_violations")
-        .inc(result.audit.predict);
-  }
-
-  // Flow-audit cross-check: every store→load dependence the detection
-  // schedules actually exhibited must be explained by a static mem edge
-  // (or flagged unknown on either side). An uncovered pair means the
-  // value-flow graph would have missed a real memory-mediated propagation
-  // — a soundness violation. A non-zero count exits 3, like the
-  // prescreen and predict audits.
-  if (flow_audit != nullptr) {
-    for (const auto& [writer, reader] : flow_recorder.pairs()) {
-      if (!value_flow->covers(writer, reader)) ++result.audit.vuln_flow;
-    }
-    support::metrics().advisory("vulnflow.audit_violations")
-        .inc(result.audit.vuln_flow);
-  }
-
-  // ---- step (4): static vulnerability analysis (Algorithm 1) ----
-  struct PendingAttack {
-    std::size_t report_index;
-    vuln::ExploitReport exploit;
-  };
-  std::vector<PendingAttack> pending;
-  const std::vector<race::RaceReport>& final_reports =
-      result.store.stage(Stage::kAfterRaceVerifier);
-  {
-    TRACE_SPAN("vuln-analysis", target.name);
-    const StageTimer analysis_timer(options_.stage_timings, "vuln-analysis");
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kVulnAnalysis);
-    }
-    vuln::VulnerabilityAnalyzer::Options aopts;
-    aopts.mode = options_.analyzer_mode;
-    if (module_static.has_value()) {
-      aopts.resolved_indirect = &module_static->resolved_calls;
-    }
-    if (value_flow.has_value()) aopts.value_flow = &*value_flow;
-    const vuln::VulnerabilityAnalyzer analyzer(*target.module, aopts);
-    support::Budget analysis_budget(options_.stage_budgets.vuln_analysis);
-    double analysis_seconds = 0.0;
-    std::size_t analysis_failures = 0;
-    std::string analysis_error;
-    for (std::size_t r = 0; r < final_reports.size(); ++r) {
-      if (const auto cause = analysis_budget.exhausted_by()) {
-        record_failure(result.counts, PipelineStage::kVulnAnalysis, *cause,
-                       str_format("%zu of %zu reports unanalyzed",
-                                  final_reports.size() - r,
-                                  final_reports.size()),
-                       analysis_budget.steps_spent(),
-                       analysis_budget.elapsed_seconds());
-        break;
-      }
-      try {
-        if (injector != nullptr) injector->maybe_throw();
-        const vuln::VulnAnalysis analysis = analyzer.analyze(final_reports[r]);
-        analysis_seconds += analysis.stats.seconds;
-        for (const vuln::ExploitReport& exploit : analysis.exploits) {
-          result.exploits.push_back(exploit);
-          pending.push_back({r, exploit});
-        }
-      } catch (const std::exception& error) {
-        ++analysis_failures;
-        analysis_error = error.what();
-      }
-    }
-    if (analysis_failures > 0) {
-      record_failure(result.counts, PipelineStage::kVulnAnalysis,
-                     FailureCause::kException,
-                     str_format("%zu report(s) unanalyzable: %s",
-                                analysis_failures, analysis_error.c_str()));
-    }
-    result.counts.vulnerability_reports = result.exploits.size();
-    result.counts.avg_analysis_seconds =
-        final_reports.empty()
-            ? 0.0
-            : analysis_seconds / static_cast<double>(final_reports.size());
-    OWL_LOG(kInfo) << target.name << ": " << result.exploits.size()
-                   << " vulnerability reports";
-  }
-
-  // ---- step (5): dynamic vulnerability verification ----
-  if (options_.enable_vuln_verifier) {
-    TRACE_SPAN("vuln-verification", target.name);
-    const StageTimer timer(options_.stage_timings, "vuln-verification");
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kVulnVerification);
-    }
-    const race::MachineFactory& factory =
-        target.exploit_factory ? target.exploit_factory : target.factory;
-    support::Budget stage_budget(options_.stage_budgets.vuln_verification);
-    std::size_t livelocked_exploits = 0;
-    std::size_t skipped_exploits = 0;
-    bool stage_exception_absorbed = false;
-    for (std::size_t c = 0; c < pending.size(); ++c) {
-      const PendingAttack& candidate = pending[c];
-      if (const auto cause = stage_budget.exhausted_by()) {
-        record_failure(result.counts, PipelineStage::kVulnVerification,
-                       *cause,
-                       str_format("%zu of %zu exploit candidates unverified",
-                                  pending.size() - c, pending.size()),
-                       stage_budget.steps_spent(),
-                       stage_budget.elapsed_seconds());
-        break;
-      }
-      verify::VulnVerifyResult vr;
-      bool verify_ran = false;
-      for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
-        verify::VulnVerifier::Options vopts;
-        vopts.max_attempts = options_.vuln_verifier_attempts;
-        vopts.base_seed =
-            retry.seed_for(target.seed * 104729 + 7, attempt);
-        vopts.thread_order = target.thread_order;
-        vopts.fault_injector = injector;
-        support::BudgetSpec per_exploit;
-        per_exploit.steps = stage_budget.remaining_steps() == UINT64_MAX
-                                ? 0
-                                : stage_budget.remaining_steps();
-        vopts.budget = retry.budget_for(per_exploit, attempt);
-        try {
-          if (injector != nullptr) injector->maybe_throw();
-          vr = verify::VulnVerifier(vopts).verify(
-              candidate.exploit, factory,
-              &final_reports[candidate.report_index]);
-          verify_ran = true;
-          result.counts.retries_used += attempt;
-          break;
-        } catch (const std::exception& error) {
-          if (attempt + 1 >= retry.max_attempts()) {
-            if (!stage_exception_absorbed) {
-              record_failure(result.counts,
-                             PipelineStage::kVulnVerification,
-                             FailureCause::kException, error.what(), 0, 0.0,
-                             attempt);
-              stage_exception_absorbed = true;
-            }
-            result.counts.retries_used += attempt;
-          }
-        }
-      }
-      if (!verify_ran) {
-        ++skipped_exploits;
-        continue;
-      }
-      stage_budget.charge_steps(vr.steps_spent);
-      if (vr.livelocked) ++livelocked_exploits;
-      if (!vr.site_reached) continue;
-      ConcurrencyAttack attack;
-      attack.program = target.name;
-      attack.race = final_reports[candidate.report_index];
-      attack.exploit = candidate.exploit;
-      attack.verification = vr;
-      result.attacks.push_back(std::move(attack));
-    }
-    if (livelocked_exploits > 0) {
-      record_failure(result.counts, PipelineStage::kVulnVerification,
-                     FailureCause::kLivelock,
-                     str_format("%zu exploit session(s) livelocked",
-                                livelocked_exploits),
-                     stage_budget.steps_spent(),
-                     stage_budget.elapsed_seconds());
-    }
-    OWL_LOG(kInfo) << target.name << ": " << result.attacks.size()
-                   << " attack candidates reached their site, "
-                   << result.confirmed_attacks() << " realized";
-  }
-
-  // ---- repair stage (optional, DESIGN.md §13) ----
-  // Closes the loop on the confirmed races: synthesize candidate patches,
-  // verify each by re-running the pipeline machinery above on the patched
-  // module (race-freedom incl. --predict on, checker differential, output
-  // equivalence), report the first winner. Nested verification pipelines
-  // run with repair disabled — the stage never recurses. Degrades, never
-  // dies, like every other stage.
-  if (options_.repair.enabled && target.module != nullptr &&
-      module_static.has_value()) {
-    TRACE_SPAN("repair", target.name);
-    const StageTimer timer(options_.stage_timings, "repair");
-    if (injector != nullptr) injector->begin_stage(PipelineStage::kRepair);
-    result.counts.repair_ran = true;
-    std::vector<race::RaceReport> confirmed;
-    for (const race::RaceReport& report :
-         result.store.stage(Stage::kAfterRaceVerifier)) {
-      if (report.verified) confirmed.push_back(report);
-    }
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      result.repair =
-          repair::attempt_repair(target, options_, *module_static, confirmed);
-    } catch (const std::exception& error) {
-      record_failure(result.counts, PipelineStage::kRepair,
-                     FailureCause::kException, error.what());
-      result.repair = repair::RepairReport{};
-      result.repair.status = "unrepaired";
-    }
-    result.counts.repair_status = result.repair.status;
-    result.counts.repair_candidates = result.repair.candidates_tried;
-    OWL_LOG(kInfo) << target.name << ": repair " << result.repair.status
-                   << " (" << result.repair.candidates_tried
-                   << " candidate(s) tried)";
-  }
-
-  result.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.total_seconds = seconds_since(t0);
   if (options_.stage_timings != nullptr) {
     options_.stage_timings->record("target-total", result.total_seconds);
   }
@@ -855,62 +846,61 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // cross-check the manifest snapshot carries. All counters: sums are
   // interleaving-independent, so jobs=N flushes identically to jobs=1.
   {
+    const StageCounts& counts = result.counts;
     support::MetricsRegistry& registry = support::metrics();
-    registry.counter("pipeline.reports.raw").inc(result.counts.raw_reports);
-    registry.counter("pipeline.adhoc_syncs").inc(result.counts.adhoc_syncs);
+    registry.counter("pipeline.reports.raw").inc(counts.raw_reports);
+    registry.counter("pipeline.adhoc_syncs").inc(counts.adhoc_syncs);
     registry.counter("pipeline.reports.after_annotation")
-        .inc(result.counts.after_annotation);
+        .inc(counts.after_annotation);
     registry.counter("pipeline.reports.verifier_eliminated")
-        .inc(result.counts.verifier_eliminated);
-    registry.counter("pipeline.reports.verified")
-        .inc(result.counts.remaining);
+        .inc(counts.verifier_eliminated);
+    registry.counter("pipeline.reports.verified").inc(counts.remaining);
     registry.counter("pipeline.vulnerability_reports")
-        .inc(result.counts.vulnerability_reports);
+        .inc(counts.vulnerability_reports);
     registry.counter("pipeline.attacks.site_reached")
         .inc(result.attacks.size());
     registry.counter("pipeline.attacks.confirmed")
         .inc(result.confirmed_attacks());
-    registry.counter("pipeline.retries").inc(result.counts.retries_used);
-    if (result.counts.checkers_ran) {
+    registry.counter("pipeline.retries").inc(counts.retries_used);
+    if (counts.ran(PipelineStage::kCheckers)) {
       // Registered only when the stage ran: the metrics snapshot in the
       // manifest stays byte-identical to pre-suite runs with checkers off.
       registry.counter("pipeline.checker_findings")
           .inc(result.checker_findings.size());
     }
-    if (result.counts.predict_ran) {
+    if (counts.ran(PipelineStage::kPredict)) {
       // Same gating: predict-off snapshots carry no predict keys at all.
-      registry.counter("predict.candidates")
-          .inc(result.counts.predict_candidates);
+      registry.counter("predict.candidates").inc(counts.predict_candidates);
       registry.counter("predict.schedules_avoided")
-          .inc(result.counts.predict_schedules_avoided);
-      if (predict_outcome.has_value()) {
+          .inc(counts.predict_schedules_avoided);
+      if (state.predict_outcome.has_value()) {
         registry.advisory("predict.closure_iterations")
-            .inc(predict_outcome->closure_iterations);
+            .inc(state.predict_outcome->closure_iterations);
       }
     }
-    if (result.counts.repair_ran) {
+    if (counts.ran(PipelineStage::kRepair)) {
       // Same gating: repair-off snapshots carry no repair keys at all.
       registry.counter("repair.candidates_tried")
-          .inc(result.counts.repair_candidates);
+          .inc(counts.repair_candidates);
       registry.counter("repair.repaired")
           .inc(result.repair.status == "repaired" ? 1 : 0);
     }
-    if (value_flow.has_value()) {
+    if (state.value_flow.has_value()) {
       // Same gating: vuln-flow-off snapshots carry no valueflow keys.
-      const analysis::ValueFlowGraph::Stats& vf = value_flow->stats();
+      const analysis::ValueFlowGraph::Stats& vf = state.value_flow->stats();
       registry.counter("valueflow.nodes").inc(vf.nodes);
       registry.counter("valueflow.edges")
           .inc(vf.def_use_edges + vf.call_edges);
       registry.counter("valueflow.mem_edges").inc(vf.mem_edges);
     }
     registry.histogram("pipeline.raw_reports_per_target")
-        .observe(result.counts.raw_reports);
+        .observe(counts.raw_reports);
     registry.wall_clock("pipeline.wall_seconds").add(result.total_seconds);
-    if (module_static.has_value()) {
+    if (state.module_static.has_value()) {
       registry.counter("callgraph.indirect_resolved")
-          .inc(module_static->indirect_resolved_edges);
+          .inc(state.module_static->indirect_resolved_edges);
       registry.counter("prescreen.prunable_instructions")
-          .inc(module_static->prescreen.no_race().size());
+          .inc(state.module_static->prescreen.no_race().size());
     }
   }
   return result;
@@ -982,14 +972,14 @@ std::string serialize_result(const PipelineResult& result) {
   std::string out = "=== target " + result.target_name + " ===\n";
   out += result.counts.serialize();
   out += result.store.canonical_dump();
-  if (result.counts.checkers_ran) {
+  if (result.counts.ran(PipelineStage::kCheckers)) {
     out += str_format("[checker findings %zu]\n",
                       result.checker_findings.size());
     for (const checkers::BugReport& report : result.checker_findings) {
       out += report.to_string();
     }
   }
-  if (result.counts.repair_ran) {
+  if (result.counts.ran(PipelineStage::kRepair)) {
     // The patched module is folded in as a size + FNV-1a digest: repeat
     // runs and jobs=1-vs-N runs must synthesize byte-identical fixes, and
     // this pins that without dumping whole modules into the diff.

@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "core/attack.hpp"
 #include "core/report_store.hpp"
 #include "analysis/value_flow.hpp"
-#include "race/predict/trace_recorder.hpp"
 #include "race/prescreen_view.hpp"
 #include "race/ski_detector.hpp"
 #include "repair/report.hpp"
@@ -39,11 +37,6 @@
 #include "vuln/analyzer.hpp"
 
 namespace owl::core {
-
-/// Runtime store→load dependence recorder for --vuln-flow audit; defined
-/// in pipeline.cpp, attached to detection machines like the predict
-/// stage's TraceRecorder (behavior-neutral observation).
-class FlowAuditRecorder;
 
 enum class DetectorKind {
   kTsan,       ///< happens-before races (applications)
@@ -87,7 +80,8 @@ struct StageBudgets {
   support::BudgetSpec vuln_analysis;      ///< step (4)
   support::BudgetSpec vuln_verification;  ///< step (5)
 
-  /// Applies one wall-clock deadline to every stage (CLI --stage-deadline).
+  /// Applies one wall-clock deadline to each of the four budgeted stages
+  /// (CLI --stage-deadline); the other stages run unbounded.
   static StageBudgets uniform_wall(double seconds) {
     StageBudgets budgets;
     budgets.detection.wall_seconds = seconds;
@@ -221,11 +215,12 @@ class Pipeline {
   Pipeline() : Pipeline(PipelineOptions{}) {}
   explicit Pipeline(PipelineOptions options) : options_(std::move(options)) {}
 
-  /// Runs the five Fig. 3 stages on one target. Never throws: a stage
-  /// failure (exception, livelock, stall, budget exhaustion) is retried per
-  /// the RetryPolicy where that makes sense, then absorbed as a
-  /// FailureRecord on the result's StageCounts and the remaining stages run
-  /// on best-effort inputs.
+  /// Runs the Fig. 3 stages, and the optional stages around them, on one
+  /// target. Never throws: every stage runs under one stage runner
+  /// (pipeline.cpp), so a stage failure (exception, livelock, stall,
+  /// budget exhaustion) is retried per the RetryPolicy where that makes
+  /// sense, then absorbed as a FailureRecord on the result's StageCounts
+  /// and the remaining stages run on best-effort inputs.
   PipelineResult run(const PipelineTarget& target) const;
 
   /// Multi-target driver with per-target fault isolation: one result per
@@ -246,27 +241,6 @@ class Pipeline {
   const PipelineOptions& options() const noexcept { return options_; }
 
  private:
-  /// Steps (1)/(2): run the configured detector over N schedules under the
-  /// detection budget, retrying per policy on a thrown fault. Failures are
-  /// recorded on `result.counts` and prescreen audit violations on
-  /// `result.audit`; nullopt means every attempt failed (the caller
-  /// picks the fallback: empty for step (1), the raw reports for step (2)).
-  /// `recorder`, when non-null, captures each schedule's event trace for
-  /// the predict stage (only the final pass's traces are kept).
-  std::optional<std::vector<race::RaceReport>> detect(
-      const PipelineTarget& target, const race::AnnotationSet* annotations,
-      race::PrescreenView prescreen, PipelineResult& result,
-      race::predict::TraceRecorder* recorder,
-      FlowAuditRecorder* flow_audit) const;
-
-  /// One detection pass (no retry wrapper); throws on detector faults.
-  std::vector<race::RaceReport> detect_once(
-      const PipelineTarget& target, const race::AnnotationSet* annotations,
-      race::PrescreenView prescreen, std::uint64_t base_seed,
-      support::Budget& budget, PipelineResult& result,
-      race::predict::TraceRecorder* recorder,
-      FlowAuditRecorder* flow_audit) const;
-
   PipelineOptions options_;
 };
 

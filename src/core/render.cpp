@@ -20,18 +20,18 @@ std::string render_cli_summary(const PipelineResult& result) {
                     result.counts.vulnerability_reports);
   out += str_format("  attacks (site reached/realized): %zu/%zu\n",
                     result.attacks.size(), result.confirmed_attacks());
-  if (result.counts.checkers_ran) {
+  if (result.counts.ran(support::PipelineStage::kCheckers)) {
     out += str_format("  checker findings:      %zu\n",
                       result.checker_findings.size());
   }
-  if (result.counts.predict_ran) {
+  if (result.counts.ran(support::PipelineStage::kPredict)) {
     out += str_format(
         "  predict: candidates=%zu pruned=%zu new=%zu avoided=%zu\n",
         result.counts.predict_candidates, result.counts.predict_pruned,
         result.counts.predict_new_confirmed,
         result.counts.predict_schedules_avoided);
   }
-  if (result.counts.repair_ran) {
+  if (result.counts.ran(support::PipelineStage::kRepair)) {
     out += str_format("  repair: status=%s strategy=%s candidates=%u\n",
                       result.repair.status.c_str(),
                       result.repair.strategy.empty()
@@ -74,7 +74,7 @@ std::string render_cli_details(const PipelineResult& result,
       out += attack.to_string();
     }
   }
-  if (result.counts.checkers_ran) {
+  if (result.counts.ran(support::PipelineStage::kCheckers)) {
     out += str_format("\n--- checker findings (%s) ---\n",
                       result.target_name.c_str());
     if (result.checker_findings.empty()) {
@@ -84,7 +84,7 @@ std::string render_cli_details(const PipelineResult& result,
       out += report.to_string();
     }
   }
-  if (result.counts.repair_ran) {
+  if (result.counts.ran(support::PipelineStage::kRepair)) {
     // Identical from the CLI and from owl_served: everything here is a
     // function of the analysis alone — the --repair DIR path never
     // appears, only the deterministic basename of the fixed module.

@@ -10,17 +10,17 @@ std::string StageCounts::serialize() const {
       "vuln_reports=%zu retries=%u\n",
       raw_reports, adhoc_syncs, after_annotation, verifier_eliminated,
       remaining, vulnerability_reports, retries_used);
-  if (checkers_ran) {
+  if (ran(support::PipelineStage::kCheckers)) {
     out += str_format("checkers: findings=%zu\n", checker_findings);
   }
-  if (predict_ran) {
+  if (ran(support::PipelineStage::kPredict)) {
     out += str_format(
         "predict: candidates=%zu pruned=%zu new_confirmed=%zu "
         "schedules_avoided=%zu\n",
         predict_candidates, predict_pruned, predict_new_confirmed,
         predict_schedules_avoided);
   }
-  if (repair_ran) {
+  if (ran(support::PipelineStage::kRepair)) {
     out += str_format("repair: status=%s candidates=%zu\n",
                       repair_status.c_str(), repair_candidates);
   }

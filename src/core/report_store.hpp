@@ -2,6 +2,7 @@
 // Table 3 (reduction) and Table 2 (detection results).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,31 +28,32 @@ struct StageCounts {
   double avg_analysis_seconds = 0.0;    ///< A.C. per report
   std::size_t vulnerability_reports = 0;///< OWL's final reports (Table 2)
 
+  /// Stages that ran on this target, one bit per support::PipelineStage.
+  /// Every output surface (counters, rendering, manifest, metrics) keys
+  /// the optional stages' lines off ran(), not off results being
+  /// non-empty, so "ran and found nothing" is visible — and a stage that
+  /// is off leaves every output byte-identical to a build without it.
+  std::uint32_t ran_mask = 0;
+  bool ran(support::PipelineStage stage) const noexcept {
+    return ((ran_mask >> static_cast<unsigned>(stage)) & 1u) != 0;
+  }
+  void mark_ran(support::PipelineStage stage) noexcept {
+    ran_mask |= 1u << static_cast<unsigned>(stage);
+  }
+
   // --- checker suite (DESIGN.md §11) ---
-  /// Findings from the optional concurrency checker stage. Serialized
-  /// only when `checkers_ran` — the counters line stays byte-identical
-  /// to pre-suite output whenever the checkers are off.
+  /// Findings from the optional concurrency checker stage.
   std::size_t checker_findings = 0;
-  /// True when the stage ran. Every output surface (counters, rendering,
-  /// manifest, metrics) keys off these *_ran flags, not off results being
-  /// non-empty, so "ran and found nothing" is visible.
-  bool checkers_ran = false;
 
   // --- sync-preserving prediction (DESIGN.md §12) ---
-  /// Serialized only when `predict_ran`; off-mode output stays
-  /// byte-identical to pre-predictor builds.
   std::size_t predict_candidates = 0;        ///< dynamic pairs SP-checked
   std::size_t predict_pruned = 0;            ///< reports proved infeasible
   std::size_t predict_new_confirmed = 0;     ///< predicted races replay kept
   std::size_t predict_schedules_avoided = 0; ///< verifier attempts not run
-  bool predict_ran = false;
 
   // --- automated race repair (DESIGN.md §13) ---
-  /// Serialized only when `repair_ran`; off-mode output stays
-  /// byte-identical to pre-repair builds.
   std::string repair_status;            ///< repaired | unrepaired | no_races
   std::size_t repair_candidates = 0;    ///< candidates synthesized and tried
-  bool repair_ran = false;
 
   // --- resilience accounting (Table 2/3's resilience column) ---
   /// Stage failures absorbed by the resilience layer. Non-empty means the

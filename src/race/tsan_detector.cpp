@@ -53,6 +53,12 @@ AccessRecord TsanDetector::make_record(const Access& access,
   return rec;
 }
 
+VectorClock& TsanDetector::clock(ThreadId tid) {
+  VectorClock& own = clocks_[tid];
+  if (own.get(tid) == 0) own.set(tid, 1);
+  return own;
+}
+
 void TsanDetector::ref_on_access(const Access& access,
                                  const interp::Machine& machine) {
   VectorClock& ct = clock(access.tid);
@@ -153,8 +159,9 @@ void TsanDetector::ref_on_sync(const Sync& sync, const interp::Machine&) {
       ct.join(sync_clocks_[sync.addr]);
       break;
     case SyncKind::kThreadCreate: {
+      // The child's own component goes 0 -> 1 here, like a root thread's.
       const auto child = static_cast<ThreadId>(sync.addr);
-      VectorClock& cc = clock(child);
+      VectorClock& cc = clocks_[child];
       cc.join(ct);
       cc.increment(child);
       ct.increment(sync.tid);
@@ -181,7 +188,9 @@ void TsanDetector::ref_on_sync(const Sync& sync, const interp::Machine&) {
 
 VectorClock& TsanDetector::fast_clock(ThreadId tid) {
   if (tid >= fast_clocks_.size()) fast_clocks_.resize(tid + 1);
-  return fast_clocks_[tid];
+  VectorClock& own = fast_clocks_[tid];
+  if (own.get(tid) == 0) own.set(tid, 1);  // see clock()
+  return own;
 }
 
 AccessRecord TsanDetector::record_from_access(
@@ -360,10 +369,11 @@ void TsanDetector::fast_on_sync(const Sync& sync, const interp::Machine&) {
       break;
     case SyncKind::kThreadCreate: {
       const auto child = static_cast<ThreadId>(sync.addr);
-      // Grow once up front: taking both references before any resize keeps
-      // them valid (vector reallocation would invalidate the first).
-      fast_clock(std::max(child, sync.tid));
-      VectorClock& ct = fast_clocks_[sync.tid];
+      // Grow for the child first and take its reference last: no resize
+      // may come between taking the two (reallocation would invalidate
+      // the first). The child's own component goes 0 -> 1 below.
+      if (child >= fast_clocks_.size()) fast_clocks_.resize(child + 1);
+      VectorClock& ct = fast_clock(sync.tid);
       VectorClock& cc = fast_clocks_[child];
       cc.join(ct);
       cc.increment(child);

@@ -144,7 +144,10 @@ class TsanDetector : public interp::Observer {
   // --- reference implementation (DetectorImpl::kReference) ---
   void ref_on_access(const Access& access, const interp::Machine& machine);
   void ref_on_sync(const Sync& sync, const interp::Machine& machine);
-  VectorClock& clock(ThreadId tid) { return clocks_[tid]; }
+  /// A thread's clock, its own component started at 1: epoch 0 is what
+  /// every other clock sees of a thread it never synchronized with, so an
+  /// access stamped 0 would read as ordered before all of them.
+  VectorClock& clock(ThreadId tid);
   AccessRecord make_record(const Access& access,
                            const interp::Machine& machine) const;
 

@@ -2,24 +2,53 @@
 
 namespace owl::support {
 
+namespace {
+
+/// One row per stage: its enum value, its name, and its --inject-fault
+/// token. The single source for both vocabularies.
+struct StageVocabulary {
+  PipelineStage stage;
+  std::string_view name;
+  std::string_view token;
+};
+
+constexpr StageVocabulary kStages[] = {
+    {PipelineStage::kDetection, "detection", "detect"},
+    {PipelineStage::kAnnotation, "annotation", "annotate"},
+    {PipelineStage::kPredict, "predict", "predict"},
+    {PipelineStage::kRaceVerification, "race-verification", "race-verify"},
+    {PipelineStage::kVulnAnalysis, "vuln-analysis", "vuln-analyze"},
+    {PipelineStage::kVulnVerification, "vuln-verification", "vuln-verify"},
+    {PipelineStage::kCheckers, "checkers", "check"},
+    {PipelineStage::kRepair, "repair", "repair"},
+    {PipelineStage::kStaticAnalysis, "static-analysis", "static"},
+    {PipelineStage::kValueFlow, "value-flow", "value-flow"},
+    {PipelineStage::kDriver, "driver", ""},
+    {PipelineStage::kServeAdmit, "serve-admit", "admit"},
+    {PipelineStage::kServeEnqueue, "serve-enqueue", "enqueue"},
+    {PipelineStage::kServeCacheRead, "serve-cache-read", "cache-read"},
+    {PipelineStage::kServeCacheWrite, "serve-cache-write", "cache-write"},
+    {PipelineStage::kServeRespond, "serve-respond", "respond"},
+};
+
+}  // namespace
+
 std::string_view pipeline_stage_name(PipelineStage stage) noexcept {
-  switch (stage) {
-    case PipelineStage::kDetection: return "detection";
-    case PipelineStage::kAnnotation: return "annotation";
-    case PipelineStage::kPredict: return "predict";
-    case PipelineStage::kRaceVerification: return "race-verification";
-    case PipelineStage::kVulnAnalysis: return "vuln-analysis";
-    case PipelineStage::kVulnVerification: return "vuln-verification";
-    case PipelineStage::kCheckers: return "checkers";
-    case PipelineStage::kRepair: return "repair";
-    case PipelineStage::kDriver: return "driver";
-    case PipelineStage::kServeAdmit: return "serve-admit";
-    case PipelineStage::kServeEnqueue: return "serve-enqueue";
-    case PipelineStage::kServeCacheRead: return "serve-cache-read";
-    case PipelineStage::kServeCacheWrite: return "serve-cache-write";
-    case PipelineStage::kServeRespond: return "serve-respond";
+  for (const StageVocabulary& row : kStages) {
+    if (row.stage == stage) return row.name;
   }
   return "?";
+}
+
+bool parse_fault_stage(std::string_view token, PipelineStage& out) noexcept {
+  if (token.empty()) return false;
+  for (const StageVocabulary& row : kStages) {
+    if (row.token == token) {
+      out = row.stage;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string_view failure_cause_name(FailureCause cause) noexcept {

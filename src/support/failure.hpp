@@ -30,6 +30,8 @@ enum class PipelineStage {
   kVulnVerification,  ///< step (5): dynamic vulnerability verifier
   kCheckers,          ///< concurrency checker suite (DESIGN.md §11)
   kRepair,            ///< automated race repair (DESIGN.md §13)
+  kStaticAnalysis,    ///< step (0): whole-module analysis (DESIGN.md §9)
+  kValueFlow,         ///< value-flow graph for --vuln-flow (DESIGN.md §14)
   kDriver,            ///< multi-target driver wrapper (catastrophic catch)
   kServeAdmit,        ///< owl_served: admission control decision
   kServeEnqueue,      ///< owl_served: bounded-queue insertion
@@ -38,7 +40,14 @@ enum class PipelineStage {
   kServeRespond,      ///< owl_served: response write to the client
 };
 
+/// The stage's name in FailureRecords, trace spans and --timings
+/// ("detection", "race-verification", "serve-admit", ...).
 std::string_view pipeline_stage_name(PipelineStage stage) noexcept;
+
+/// Parses a stage's --inject-fault token ("detect", "race-verify",
+/// "admit", ...); false for an unknown token. kDriver has none: no fault
+/// plan can name it.
+bool parse_fault_stage(std::string_view token, PipelineStage& out) noexcept;
 
 /// Why a stage (or one unit of its work) failed.
 enum class FailureCause {

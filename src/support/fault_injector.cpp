@@ -16,50 +16,13 @@ std::string_view fault_kind_name(FaultKind kind) noexcept {
 }
 
 bool is_service_phase(PipelineStage stage) noexcept {
-  switch (stage) {
-    case PipelineStage::kServeAdmit:
-    case PipelineStage::kServeEnqueue:
-    case PipelineStage::kServeCacheRead:
-    case PipelineStage::kServeCacheWrite:
-    case PipelineStage::kServeRespond:
-      return true;
-    default:
-      return false;
-  }
+  return pipeline_stage_name(stage).starts_with("serve-");
 }
 
 bool parse_fault_plan(std::string_view text, FaultPlan& plan) {
   const std::vector<std::string> parts = split(text, ':');
   if (parts.size() < 2 || parts.size() > 3) return false;
-  if (parts[0] == "detect") {
-    plan.stage = PipelineStage::kDetection;
-  } else if (parts[0] == "annotate") {
-    plan.stage = PipelineStage::kAnnotation;
-  } else if (parts[0] == "predict") {
-    plan.stage = PipelineStage::kPredict;
-  } else if (parts[0] == "race-verify") {
-    plan.stage = PipelineStage::kRaceVerification;
-  } else if (parts[0] == "vuln-analyze") {
-    plan.stage = PipelineStage::kVulnAnalysis;
-  } else if (parts[0] == "vuln-verify") {
-    plan.stage = PipelineStage::kVulnVerification;
-  } else if (parts[0] == "check") {
-    plan.stage = PipelineStage::kCheckers;
-  } else if (parts[0] == "repair") {
-    plan.stage = PipelineStage::kRepair;
-  } else if (parts[0] == "admit") {
-    plan.stage = PipelineStage::kServeAdmit;
-  } else if (parts[0] == "enqueue") {
-    plan.stage = PipelineStage::kServeEnqueue;
-  } else if (parts[0] == "cache-read") {
-    plan.stage = PipelineStage::kServeCacheRead;
-  } else if (parts[0] == "cache-write") {
-    plan.stage = PipelineStage::kServeCacheWrite;
-  } else if (parts[0] == "respond") {
-    plan.stage = PipelineStage::kServeRespond;
-  } else {
-    return false;
-  }
+  if (!parse_fault_stage(parts[0], plan.stage)) return false;
   if (parts[1] == "stall") {
     plan.kind = FaultKind::kSchedulerStall;
   } else if (parts[1] == "livelock") {

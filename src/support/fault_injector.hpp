@@ -69,11 +69,12 @@ struct FaultPlan {
 };
 
 /// Parses the CLI fault spec shared by owl_cli and owl_served:
-/// "stage:kind[:after]" with stage in detect|annotate|race-verify|
-/// vuln-analyze|vuln-verify (pipeline) or admit|enqueue|cache-read|
-/// cache-write|respond (service phases) and kind in stall|livelock|throw|
-/// truncate|corrupt; `after` skips the first N matching probes. Returns
-/// false on malformed specs.
+/// "stage:kind[:after]" with stage any fault_stage_token (failure.hpp:
+/// static|check|value-flow|detect|annotate|predict|race-verify|
+/// vuln-analyze|vuln-verify|repair for the pipeline, admit|enqueue|
+/// cache-read|cache-write|respond for the service phases) and kind in
+/// stall|livelock|throw|truncate|corrupt; `after` skips the first N
+/// matching probes. Returns false on malformed specs.
 bool parse_fault_plan(std::string_view text, FaultPlan& plan);
 
 /// True for the owl_served request-lifecycle phases (kServe*).
@@ -113,8 +114,6 @@ class FaultInjector {
   // --- context, pushed by the pipeline driver ---
   void begin_target(std::string_view name);
   void begin_stage(PipelineStage stage);
-  const std::string& current_target() const noexcept { return target_; }
-  PipelineStage current_stage() const noexcept { return stage_; }
 
   // --- probes, called from instrumented code ---
   /// Machine run loop: burn this step instead of executing?

@@ -756,7 +756,7 @@ TEST(CheckerPipelineTest, OutputIsByteIdenticalAcrossJobs) {
     std::string serialized;
     std::vector<SarifTarget> sarif_targets;
     for (const core::PipelineResult& result : results) {
-      EXPECT_TRUE(result.counts.checkers_ran);
+      EXPECT_TRUE(result.counts.ran(support::PipelineStage::kCheckers));
       EXPECT_EQ(result.checker_findings.size(), 1u) << result.target_name;
       serialized += core::serialize_result(result);
       sarif_targets.push_back(
@@ -786,7 +786,7 @@ TEST(CheckerPipelineTest, OffModeLeavesOutputWithoutCheckerSections) {
       core::Pipeline(options).run_many({target_for(m, "lock_cycle.mir")});
   ASSERT_EQ(results.size(), 1u);
   const core::PipelineResult& result = results[0];
-  EXPECT_FALSE(result.counts.checkers_ran);
+  EXPECT_FALSE(result.counts.ran(support::PipelineStage::kCheckers));
   EXPECT_TRUE(result.checker_findings.empty());
   for (const std::string& rendered :
        {core::serialize_result(result), core::render_cli_summary(result),
@@ -817,7 +817,7 @@ TEST(CheckerPipelineTest, InjectedCheckerFaultDegradesNotDies) {
 
   // The stage ran, absorbed the fault, reported no findings — and the rest
   // of the pipeline still executed (the store has all three stages).
-  EXPECT_TRUE(result.counts.checkers_ran);
+  EXPECT_TRUE(result.counts.ran(support::PipelineStage::kCheckers));
   EXPECT_TRUE(result.checker_findings.empty());
   ASSERT_TRUE(result.degraded());
   EXPECT_EQ(result.counts.failures.size(), 1u);

@@ -446,7 +446,8 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
     const bool planted = path.filename() == "predicted_only.mir";
 
     const core::PipelineResult off = run_one(m, support::AuditMode::kOff);
-    EXPECT_FALSE(off.counts.predict_ran) << path.filename();
+    EXPECT_FALSE(off.counts.ran(support::PipelineStage::kPredict))
+        << path.filename();
     // Off mode must leak nothing: no predict counters, no predict line in
     // the counts serialization.
     EXPECT_EQ(support::metrics().serialize().find("predict"),
@@ -456,7 +457,8 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
         << path.filename();
 
     const core::PipelineResult audit = run_one(m, support::AuditMode::kAudit);
-    EXPECT_TRUE(audit.counts.predict_ran) << path.filename();
+    EXPECT_TRUE(audit.counts.ran(support::PipelineStage::kPredict))
+        << path.filename();
     EXPECT_EQ(audit.store.canonical_dump(), off.store.canonical_dump())
         << "audit changed the report stream for " << path.filename();
     EXPECT_EQ(audit.counts.remaining, off.counts.remaining) << path.filename();
@@ -468,7 +470,8 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
         << path.filename();
 
     const core::PipelineResult on = run_one(m, support::AuditMode::kOn);
-    EXPECT_TRUE(on.counts.predict_ran) << path.filename();
+    EXPECT_TRUE(on.counts.ran(support::PipelineStage::kPredict))
+        << path.filename();
     if (planted) {
       // The planted example: exhaustive exploration never exhibits the
       // race; prediction finds it and targeted replay confirms it.

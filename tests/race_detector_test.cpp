@@ -167,6 +167,47 @@ entry:
   EXPECT_TRUE(detect(*m).empty());
 }
 
+/// Two root threads (Machine::start plus Machine::spawn) each storing to
+/// @x, the first run to completion before the second; `sync` puts an
+/// hb_release -> hb_acquire edge between the stores.
+std::size_t root_thread_reports(DetectorImpl impl, bool sync) {
+  auto m = parse_ok(std::string(R"(module roots
+global @x
+global @s
+func @first() {
+entry:
+  store 1, @x
+)") + (sync ? "  hb_release @s\n" : "") + R"(  ret
+}
+func @second() {
+entry:
+)" + (sync ? "  hb_acquire @s\n" : "") + R"(  store 2, @x
+  ret
+}
+)");
+  interp::Machine machine(*m, interp::MachineOptions{});
+  TsanDetector detector(nullptr, /*ski_watch_mode=*/false, impl);
+  machine.add_observer(&detector);
+  const ThreadId first = machine.start(m->find_function("first"));
+  const ThreadId second = machine.spawn(m->find_function("second"), 0);
+  interp::PriorityScheduler sched({first, second});
+  machine.run(sched);
+  return detector.take_reports().size();
+}
+
+// A root thread's accesses before its first release must not read as
+// ordered before every other thread: without synchronisation the two
+// stores race, and only a happens-before edge between them removes it.
+TEST(TsanTest, RootThreadsRaceUntilSynchronized) {
+  for (const DetectorImpl impl :
+       {DetectorImpl::kFast, DetectorImpl::kReference}) {
+    EXPECT_EQ(root_thread_reports(impl, /*sync=*/false), 1u)
+        << detector_impl_name(impl);
+    EXPECT_EQ(root_thread_reports(impl, /*sync=*/true), 0u)
+        << detector_impl_name(impl);
+  }
+}
+
 TEST(TsanTest, AtomicAccessesDoNotRace) {
   auto m = parse_ok(R"(module a
 global @ctr

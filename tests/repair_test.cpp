@@ -295,7 +295,7 @@ TEST(RepairEngineTest, RepairsTheLostUpdateExample) {
                            .run_many({target_for(m, "lost_update.mir")});
   ASSERT_EQ(results.size(), 1u);
   const RepairReport& repair = results[0].repair;
-  EXPECT_TRUE(results[0].counts.repair_ran);
+  EXPECT_TRUE(results[0].counts.ran(support::PipelineStage::kRepair));
   EXPECT_EQ(repair.status, "repaired");
   EXPECT_EQ(repair.strategy, "lock_insert");
   EXPECT_EQ(repair.lock, "__owl_fix");
@@ -342,7 +342,7 @@ entry:
   const auto results =
       core::Pipeline(repair_options()).run_many({target_for(m, "wedge.mir")});
   ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].counts.repair_ran);
+  ASSERT_TRUE(results[0].counts.ran(support::PipelineStage::kRepair));
   const RepairReport& repair = results[0].repair;
   ASSERT_GT(results[0].counts.remaining, 0u)
       << "planted race was not confirmed; the gate test needs it";
@@ -358,7 +358,7 @@ TEST(RepairEngineTest, NoRacesShortCircuits) {
   const auto results = core::Pipeline(repair_options())
                            .run_many({target_for(m, "lock_cycle.mir")});
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].counts.repair_ran);
+  EXPECT_TRUE(results[0].counts.ran(support::PipelineStage::kRepair));
   EXPECT_EQ(results[0].repair.status, "no_races");
   EXPECT_EQ(results[0].repair.candidates_tried, 0u);
   support::metrics().clear_for_test();
@@ -372,7 +372,7 @@ TEST(RepairEngineTest, MissingModuleFactoryDegradesTheStage) {
   const auto results =
       core::Pipeline(repair_options()).run_many({target});
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].counts.repair_ran);
+  EXPECT_TRUE(results[0].counts.ran(support::PipelineStage::kRepair));
   EXPECT_TRUE(results[0].degraded());
   EXPECT_EQ(results[0].repair.status, "unrepaired");
   ASSERT_FALSE(results[0].counts.failures.empty());
@@ -416,7 +416,7 @@ TEST(RepairPipelineTest, OffModeNeverMentionsRepair) {
                            .run_many({target_for(m, "lost_update.mir")});
   ASSERT_EQ(results.size(), 1u);
   const core::PipelineResult& result = results[0];
-  EXPECT_FALSE(result.counts.repair_ran);
+  EXPECT_FALSE(result.counts.ran(support::PipelineStage::kRepair));
   EXPECT_TRUE(result.repair.status.empty());
   for (const std::string& rendered :
        {core::serialize_result(result), core::render_cli_summary(result),
@@ -444,7 +444,7 @@ TEST(RepairFaultTest, InjectedThrowDegradesNotDies) {
                            .run_many({target_for(m, "lost_update.mir")});
   ASSERT_EQ(results.size(), 1u);
   const core::PipelineResult& result = results[0];
-  EXPECT_TRUE(result.counts.repair_ran);
+  EXPECT_TRUE(result.counts.ran(support::PipelineStage::kRepair));
   EXPECT_TRUE(result.degraded());
   EXPECT_EQ(result.repair.status, "unrepaired");
   ASSERT_FALSE(result.counts.failures.empty());

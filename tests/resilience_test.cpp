@@ -2,6 +2,8 @@
 // RetryPolicy, and the deterministic FaultInjector.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
 #include "support/retry.hpp"
@@ -221,6 +223,52 @@ TEST(FaultInjectorTest, ProbabilityDilutionIsSeedDeterministic) {
   // 64 draws at 50%: all-equal across different seeds would mean the seed
   // is ignored (probability 2^-64 otherwise).
   EXPECT_NE(firing_pattern(7), firing_pattern(8));
+}
+
+// One vocabulary: each stage's name and --inject-fault token come from one
+// table, every token parses back to its stage, and the existing spellings
+// are pinned.
+TEST(StageVocabularyTest, EveryTokenParsesBackToItsStage) {
+  const std::pair<PipelineStage, const char*> expected[] = {
+      {PipelineStage::kDetection, "detect"},
+      {PipelineStage::kAnnotation, "annotate"},
+      {PipelineStage::kPredict, "predict"},
+      {PipelineStage::kRaceVerification, "race-verify"},
+      {PipelineStage::kVulnAnalysis, "vuln-analyze"},
+      {PipelineStage::kVulnVerification, "vuln-verify"},
+      {PipelineStage::kCheckers, "check"},
+      {PipelineStage::kRepair, "repair"},
+      {PipelineStage::kStaticAnalysis, "static"},
+      {PipelineStage::kValueFlow, "value-flow"},
+      {PipelineStage::kServeAdmit, "admit"},
+      {PipelineStage::kServeEnqueue, "enqueue"},
+      {PipelineStage::kServeCacheRead, "cache-read"},
+      {PipelineStage::kServeCacheWrite, "cache-write"},
+      {PipelineStage::kServeRespond, "respond"},
+  };
+  // Every stage but the driver, each once.
+  std::set<PipelineStage> covered;
+  for (const auto& [stage, token] : expected) {
+    FaultPlan plan;
+    ASSERT_TRUE(parse_fault_plan(std::string(token) + ":throw", plan))
+        << token;
+    EXPECT_EQ(plan.stage, stage) << token;
+    covered.insert(stage);
+  }
+  EXPECT_EQ(covered.size(),
+            static_cast<std::size_t>(PipelineStage::kServeRespond));
+  EXPECT_EQ(covered.count(PipelineStage::kDriver), 0u);
+  EXPECT_EQ(pipeline_stage_name(PipelineStage::kStaticAnalysis),
+            "static-analysis");
+  EXPECT_EQ(pipeline_stage_name(PipelineStage::kValueFlow), "value-flow");
+  EXPECT_EQ(pipeline_stage_name(PipelineStage::kRaceVerification),
+            "race-verification");
+  EXPECT_EQ(pipeline_stage_name(PipelineStage::kServeCacheRead),
+            "serve-cache-read");
+  PipelineStage unchanged = PipelineStage::kRepair;
+  EXPECT_FALSE(parse_fault_stage("driver", unchanged));
+  EXPECT_FALSE(parse_fault_stage("", unchanged));
+  EXPECT_EQ(unchanged, PipelineStage::kRepair);
 }
 
 }  // namespace

@@ -51,14 +51,17 @@
 //   --no-race-verifier     disable dynamic race verification (stage 3)
 //   --no-vuln-verifier     disable dynamic attack verification (stage 5)
 //   --stage-deadline S     wall-clock deadline (seconds, fractional ok) for
-//                          every pipeline stage; a stage that exhausts it
-//                          degrades instead of running unbounded
+//                          each of detection (annotation re-run included),
+//                          race verification, vuln analysis and vuln
+//                          verification; a stage that exhausts it degrades
+//                          instead of running unbounded
 //   --retries N            retries for schedule-dependent stages, 0..1000
 //                          (default: 2)
 //   --inject-fault SPEC    deterministic fault injection, repeatable.
 //                          SPEC = stage:kind[:after] with
-//                          stage in detect|annotate|race-verify|vuln-analyze|
-//                          vuln-verify|check|repair and kind in stall|
+//                          stage in static|check|value-flow|detect|annotate|
+//                          predict|race-verify|vuln-analyze|vuln-verify|
+//                          repair and kind in stall|
 //                          livelock|throw|truncate; `after` skips the first
 //                          N probes
 //   --checkers SEL         concurrency checker suite (DESIGN.md §11):
@@ -388,7 +391,7 @@ int main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::create_directories(options.repair_dir, ec);
     for (const core::PipelineResult& result : results) {
-      if (!result.counts.repair_ran) continue;
+      if (!result.counts.ran(support::PipelineStage::kRepair)) continue;
       const std::string fixed_name =
           repair::fixed_module_name(result.target_name);
       const std::string stem =
