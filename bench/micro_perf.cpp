@@ -472,17 +472,25 @@ std::unique_ptr<ir::Module> make_analysis_module(std::int64_t funcs) {
 
 void BM_AndersenSolve(benchmark::State& state) {
   const auto m = make_analysis_module(state.range(0));
-  std::size_t nodes = 0;
+  analysis::PointsTo::Stats stats;
   for (auto _ : state) {
     const analysis::PointsTo pt(*m);
-    nodes = pt.stats().nodes;
-    benchmark::DoNotOptimize(nodes);
+    stats = pt.stats();
+    benchmark::DoNotOptimize(stats.nodes);
   }
-  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["nodes"] = static_cast<double>(stats.nodes);
+  state.counters["propagations"] = static_cast<double>(stats.propagations);
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * nodes));
+      static_cast<std::int64_t>(state.iterations() * stats.nodes));
 }
-BENCHMARK(BM_AndersenSolve)->ArgName("funcs")->Arg(16)->Arg(64)->Arg(256);
+// @slots/@fptrs split by cell, so the solve grows linearly in `funcs`.
+BENCHMARK(BM_AndersenSolve)
+    ->ArgName("funcs")
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096);
 
 void BM_PrescreenClassify(benchmark::State& state) {
   const auto m = make_analysis_module(state.range(0));

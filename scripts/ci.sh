@@ -182,7 +182,8 @@ stage_differential() {
   # Every stage degrades instead of escaping Pipeline::run: a throw in
   # static analysis or in the value-flow build must leave exit 0, the
   # stage's own degraded(...) summary on every target (never the driver),
-  # and byte-identical output at jobs=1 and jobs=4.
+  # and byte-identical stdout and stderr at jobs=1 and jobs=4 (stderr
+  # compared unsorted: the degradation warnings come in input order).
   current_step="static-analysis / value-flow fault degradation"
   for spec in "static:throw|static-analysis" "value-flow:throw|value-flow"; do
     fault="${spec%%|*}"
@@ -190,10 +191,13 @@ stage_differential() {
     for j in 1 4; do
       ./build/tools/owl_cli --jobs "$j" --print-reports --vuln-flow on \
         --inject-fault "$fault" "${examples[@]}" \
-        > "build/out-fault-$stage-j$j.txt" 2>/dev/null
+        > "build/out-fault-$stage-j$j.txt" 2> "build/err-fault-$stage-j$j.txt"
     done
     diff -u "build/out-fault-$stage-j1.txt" "build/out-fault-$stage-j4.txt" \
       || { echo "ci.sh: --inject-fault $fault diverged at jobs=4" >&2
+           exit 1; }
+    diff -u "build/err-fault-$stage-j1.txt" "build/err-fault-$stage-j4.txt" \
+      || { echo "ci.sh: --inject-fault $fault stderr diverged at jobs=4" >&2
            exit 1; }
     summaries=$(grep -c "resilience: *degraded($stage:exception)$" \
       "build/out-fault-$stage-j1.txt" || true)

@@ -46,6 +46,7 @@ const std::vector<PointsTo::ObjectId> PointsTo::kEmptySet;
 
 PointsTo::PointsTo(const ir::Module& module) : module_(module) {
   enumerate_objects();
+  plan_cell_split();
   seed_constraints();
   solve();
   stats_.nodes = nodes_.size();
@@ -85,6 +86,17 @@ void PointsTo::enumerate_objects() {
       }
     }
   }
+  // Every value gets at most one node: size the tables once, so large
+  // modules do not pay for rehashing and regrowth mid-seed.
+  std::size_t values = module_.globals().size() + module_.functions().size();
+  for (const auto& f : module_.functions()) {
+    values += f->arguments().size();
+    for (const auto& bb : f->blocks()) values += bb->instructions().size();
+  }
+  value_nodes_.reserve(values);
+  dyn_edge_seen_.reserve(values);
+  nodes_.reserve(objects_.size() + values);
+  parent_.reserve(objects_.size() + values);
   // Node ids [0, objects) are the per-object content nodes.
   nodes_.resize(objects_.size());
   parent_.resize(objects_.size());
@@ -122,6 +134,103 @@ PointsTo::NodeId PointsTo::node_of(const ir::Value* v) {
     case ir::ValueKind::kArgument:
       break;
   }
+  return id;
+}
+
+void PointsTo::plan_cell_split() {
+  // Candidates: two or more statically known cells, and (for globals) an
+  // initializer that cannot name memory.
+  std::vector<std::uint64_t> cells(objects_.size(), 0);
+  split_.assign(objects_.size(), 0);
+  for (ObjectId o = 0; o < objects_.size(); ++o) {
+    if (!object_size(o, cells[o]) || cells[o] < 2) continue;
+    if (objects_[o].kind == ObjectKind::kGlobal) {
+      const std::int64_t init =
+          static_cast<const ir::GlobalVariable*>(objects_[o].site)
+              ->initial_value();
+      if (init < 0 || init >= kSafeConstantLimit) continue;
+    }
+    split_[o] = 1;
+  }
+  const auto site_of = [&](const ir::Value* v, ObjectId& o) {
+    auto it = object_ids_.find(v);
+    if (it == object_ids_.end()) return false;
+    o = it->second;
+    return true;
+  };
+  // One pass over every use: anything but a dereference (directly, or
+  // through a constant in-bounds gep that is itself only dereferenced)
+  // lets the address escape, and the object stays whole.
+  const auto use = [&](const ir::Instruction& user, std::size_t k,
+                       const ir::Value* v) {
+    const bool deref = (user.opcode() == ir::Opcode::kLoad && k == 0) ||
+                       (user.opcode() == ir::Opcode::kStore && k == 1);
+    ObjectId o = 0;
+    if (site_of(v, o)) {
+      if (deref) return;
+      if (user.opcode() == ir::Opcode::kGep && k == 0 &&
+          user.operand_count() > 1 && user.operand(1)->is_constant()) {
+        const std::int64_t index =
+            static_cast<const ir::Constant*>(user.operand(1))->value();
+        if (index >= 0 && static_cast<std::uint64_t>(index) < cells[o]) {
+          return;
+        }
+      }
+      split_[o] = 0;
+      return;
+    }
+    if (deref || !v->is_instruction()) return;
+    const auto* def = static_cast<const ir::Instruction*>(v);
+    if (def->opcode() == ir::Opcode::kGep && def->operand_count() > 0 &&
+        site_of(def->operand(0), o)) {
+      split_[o] = 0;
+    }
+  };
+  for (const auto& f : module_.functions()) {
+    for (const auto& bb : f->blocks()) {
+      for (const auto& instr : bb->instructions()) {
+        for (std::size_t k = 0; k < instr->operand_count(); ++k) {
+          use(*instr, k, instr->operand(k));
+        }
+        for (const ir::Value* v : instr->phi_values()) {
+          use(*instr, instr->operand_count(), v);
+        }
+      }
+    }
+  }
+}
+
+bool PointsTo::split_cell(const ir::Value* ptr, ObjectId& o,
+                          std::uint64_t& cell) const {
+  if (auto it = object_ids_.find(ptr); it != object_ids_.end()) {
+    o = it->second;
+    cell = 0;
+    return split_[o] != 0;
+  }
+  if (!ptr->is_instruction()) return false;
+  const auto* gep = static_cast<const ir::Instruction*>(ptr);
+  if (gep->opcode() != ir::Opcode::kGep || gep->operand_count() < 2) {
+    return false;
+  }
+  auto it = object_ids_.find(gep->operand(0));
+  if (it == object_ids_.end() || split_[it->second] == 0) return false;
+  // plan_cell_split() kept the object split, so the index is a constant
+  // inside its extent.
+  o = it->second;
+  cell = static_cast<std::uint64_t>(
+      static_cast<const ir::Constant*>(gep->operand(1))->value());
+  return true;
+}
+
+PointsTo::NodeId PointsTo::cell_node(ObjectId o, std::uint64_t cell) {
+  auto [it, fresh] = cell_nodes_.try_emplace({o, cell}, 0);
+  if (!fresh) return it->second;
+  const auto id = static_cast<NodeId>(nodes_.size());
+  nodes_.emplace_back();
+  parent_.push_back(id);
+  it->second = id;
+  // The object's own content node stays the union over its cells.
+  add_copy_edge(id, content_node(o));
   return id;
 }
 
@@ -191,12 +300,28 @@ void PointsTo::seed_instruction(const ir::Instruction& instr) {
       }
       break;
     }
-    case Opcode::kLoad:
-      add_load_user(node_of(instr.operand(0)), node_of(&instr));
+    case Opcode::kLoad: {
+      const NodeId ptr = node_of(instr.operand(0));
+      ObjectId o = 0;
+      std::uint64_t cell = 0;
+      if (split_cell(instr.operand(0), o, cell)) {
+        add_copy_edge(cell_node(o, cell), node_of(&instr));
+      } else {
+        add_load_user(ptr, node_of(&instr));
+      }
       break;
-    case Opcode::kStore:
-      add_store_value(node_of(instr.operand(1)), node_of(instr.operand(0)));
+    }
+    case Opcode::kStore: {
+      const NodeId ptr = node_of(instr.operand(1));
+      ObjectId o = 0;
+      std::uint64_t cell = 0;
+      if (split_cell(instr.operand(1), o, cell)) {
+        add_copy_edge(node_of(instr.operand(0)), cell_node(o, cell));
+      } else {
+        add_store_value(ptr, node_of(instr.operand(0)));
+      }
       break;
+    }
     case Opcode::kAtomicRMWAdd: {
       const NodeId ptr = find(node_of(instr.operand(0)));
       const NodeId result = node_of(&instr);

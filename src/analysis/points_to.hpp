@@ -1,13 +1,27 @@
 // Andersen-style inclusion-based points-to analysis over MiniIR.
 //
-// Whole-module, flow- and context-insensitive, field-insensitive (one
-// abstract "content" node per allocation site — the first cut DESIGN.md §9
-// documents). Constraints come from alloca/malloc/global (address-of),
-// gep/phi (copy), load/store (complex), direct and indirect calls
-// (parameter/return copies, resolved on the fly from the function objects
-// flowing into a callptr target operand), thread_create (argument copy into
-// the entry function), atomic-rmw, and strcpy/memcopy (content-to-content
-// copy).
+// Whole-module, flow- and context-insensitive. Constraints come from
+// alloca/malloc/global (address-of), gep/phi (copy), load/store (complex),
+// direct and indirect calls (parameter/return copies, resolved on the fly
+// from the function objects flowing into a callptr target operand),
+// thread_create (argument copy into the entry function), atomic-rmw, and
+// strcpy/memcopy (content-to-content copy).
+//
+// Objects are cell-sensitive where that is provably safe, and
+// field-insensitive otherwise (DESIGN.md §9). Before solving, one scan
+// over every operand and phi value splits an object of two or more known
+// cells, whose initializer cannot name memory, when every use of its
+// address is a load/store pointer — directly (cell 0) or through a gep
+// with a constant in-bounds index whose result is itself only a load/store
+// pointer. Such an address never escapes into another value, so each of
+// its loads and stores wires straight to a per-(object, cell) content node
+// and a worker's `load %slot` sees only what was stored in its own cell.
+// Any other use (variable or out-of-range gep, phi, call argument, stored
+// as a value, lock/rmw/strcpy operand, ...) keeps the object as one node.
+// Every cell node copies into the object's own content node, so the
+// object-level queries (object_points_to, object_content_unknown) still
+// answer the union over its cells. The split is decided up front, so no
+// object is ever un-split mid-solve.
 //
 // Anything the abstract domain cannot bound — workload inputs, results of
 // external calls, arithmetic over pointer-bearing operands, integer
@@ -33,6 +47,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -176,6 +191,11 @@ class PointsTo {
   void add_points_to(NodeId n, ObjectId o);
   void set_unknown(NodeId n);
   void push_offset(NodeId to, std::int64_t lo, std::int64_t hi);
+  // --- cell split (decided before any constraint is seeded) ---
+  void plan_cell_split();
+  bool split_cell(const ir::Value* ptr, ObjectId& o,
+                  std::uint64_t& cell) const;
+  NodeId cell_node(ObjectId o, std::uint64_t cell);
 
   // --- solving ---
   NodeId find(NodeId n) const;
@@ -197,6 +217,8 @@ class PointsTo {
   std::vector<Node> nodes_;
   mutable std::vector<NodeId> parent_;  // union-find, path compression
   std::vector<CopyOp> copy_ops_;
+  std::vector<char> split_;  // per object: one content node per cell
+  std::map<std::pair<ObjectId, std::uint64_t>, NodeId> cell_nodes_;
   std::unordered_map<const ir::Instruction*, std::vector<ObjectId>>
       indirect_targets_;  // callptr -> function objects resolved so far
   std::unordered_set<const ir::Instruction*> indirect_unresolved_;

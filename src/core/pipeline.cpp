@@ -74,12 +74,20 @@ void record_failure(StageCounts& counts, PipelineStage stage,
                     unsigned retries = 0) {
   support::FailureRecord record{stage,       cause,        std::move(detail),
                                 steps_spent, wall_seconds, retries};
-  OWL_LOG(kWarn) << "pipeline stage degraded: " << record.to_string();
   support::metrics()
       .counter("pipeline.failures." +
                std::string(support::pipeline_stage_name(stage)))
       .inc();
   counts.failures.push_back(std::move(record));
+}
+
+/// Logs a finished result's failures. Logging when the result is final
+/// (after run_many's join, in input order) rather than as each stage
+/// degrades keeps stderr independent of how the workers interleaved.
+void log_failures(const PipelineResult& result) {
+  for (const support::FailureRecord& record : result.counts.failures) {
+    OWL_LOG(kWarn) << "pipeline stage degraded: " << record.to_string();
+  }
 }
 
 /// Attributes non-throwing injected faults (stalls, truncation) observed
@@ -96,6 +104,15 @@ void attribute_injected(FaultInjector* injector, StageCounts& counts,
     record_failure(counts, stage, FailureCause::kTruncatedEvents,
                    "injected truncation dropped observer events");
   }
+}
+
+/// Firings so far of the injected faults that burn work without throwing
+/// (stalls, truncation). A verification unit during which this moved ran
+/// on burned schedules, so its "not verified" is no evidence.
+std::uint64_t silent_firings(const FaultInjector* injector) {
+  if (injector == nullptr) return 0;
+  return injector->fired_count(FaultKind::kSchedulerStall) +
+         injector->fired_count(FaultKind::kTruncatedEvents);
 }
 
 /// What one unit of stage work left behind when every attempt threw.
@@ -420,9 +437,10 @@ void predict(RunState& state) {
 }
 
 /// Step (3): dynamic race verification, one retried unit per report.
-/// Reports a deadline or a livelock leaves unverified pass through
-/// (conservative: degradation must not hide attacks); predicted
-/// candidates never do — they are hypotheses, not observations.
+/// Reports a deadline, a livelock or an injected stall/truncation leaves
+/// unverified pass through (conservative: degradation must not hide
+/// attacks); predicted candidates never do — they are hypotheses, not
+/// observations.
 void race_verification(RunState& state) {
   const PipelineOptions& options = state.options;
   StageCounts& counts = state.result.counts;
@@ -452,6 +470,7 @@ void race_verification(RunState& state) {
       }
       break;
     }
+    const std::uint64_t firings = silent_firings(state.injector);
     verify::RaceVerifyResult vr;
     const auto failure = run_unit(
         state, options.retry.max_attempts(), [&](unsigned attempt) {
@@ -485,9 +504,13 @@ void race_verification(RunState& state) {
     } else if (vr.livelocked || vr.budget_exhausted) {
       ++livelocked_reports;
       if (pass_through(report)) ++passed_through;
+    } else if (silent_firings(state.injector) != firings) {
+      pass_through(report);
     }
     // else: cleanly eliminated (the R.V.E. path).
   }
+  attribute_injected(state.injector, counts,
+                     PipelineStage::kRaceVerification);
   if (livelocked_reports > 0) {
     record_failure(
         counts, PipelineStage::kRaceVerification, FailureCause::kLivelock,
@@ -672,6 +695,8 @@ void vuln_verification(RunState& state) {
     attack.verification = vr;
     result.attacks.push_back(std::move(attack));
   }
+  attribute_injected(state.injector, result.counts,
+                     PipelineStage::kVulnVerification);
   if (livelocked_exploits > 0) {
     record_failure(result.counts, PipelineStage::kVulnVerification,
                    FailureCause::kLivelock,
@@ -825,21 +850,25 @@ std::size_t PipelineResult::confirmed_attacks() const noexcept {
   return n;
 }
 
-PipelineResult Pipeline::run(const PipelineTarget& target) const {
+namespace {
+
+/// Pipeline::run without the failure log (see log_failures).
+PipelineResult run_target(const PipelineOptions& options,
+                          const PipelineTarget& target) {
   const auto t0 = std::chrono::steady_clock::now();
   TRACE_SPAN("target", target.name);
   support::metrics().counter("pipeline.targets").inc();
   PipelineResult result;
   result.target_name = target.name;
-  if (options_.fault_injector != nullptr) {
-    options_.fault_injector->begin_target(target.name);
+  if (options.fault_injector != nullptr) {
+    options.fault_injector->begin_target(target.name);
   }
-  RunState state{options_, target, result, options_.fault_injector};
+  RunState state{options, target, result, options.fault_injector};
   for (const StageEntry& stage : kStages) run_stage(stage, state);
 
   result.total_seconds = seconds_since(t0);
-  if (options_.stage_timings != nullptr) {
-    options_.stage_timings->record("target-total", result.total_seconds);
+  if (options.stage_timings != nullptr) {
+    options.stage_timings->record("target-total", result.total_seconds);
   }
 
   // Behavioral rollup into the global registry — the Table 2/3 column
@@ -906,6 +935,14 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   return result;
 }
 
+}  // namespace
+
+PipelineResult Pipeline::run(const PipelineTarget& target) const {
+  PipelineResult result = run_target(options_, target);
+  log_failures(result);
+  return result;
+}
+
 std::vector<PipelineResult> Pipeline::run_many(
     const std::vector<PipelineTarget>& targets) const {
   std::vector<PipelineResult> results(targets.size());
@@ -927,7 +964,7 @@ std::vector<PipelineResult> Pipeline::run_many(
       local.fault_injector = forks[index].get();
     }
     try {
-      results[index] = Pipeline(local).run(target);
+      results[index] = run_target(local, target);
     } catch (const std::exception& error) {
       // run() isolates its own stages; this catches failures outside them
       // (e.g. a throwing machine factory or a malformed module). The target
@@ -946,6 +983,8 @@ std::vector<PipelineResult> Pipeline::run_many(
     support::ThreadPool pool(options_.jobs);
     pool.parallel_for(targets.size(), run_one);
   }
+
+  for (const PipelineResult& result : results) log_failures(result);
 
   // Merge fork accounting back in input order so events() reads as one
   // deterministic log no matter how execution interleaved.

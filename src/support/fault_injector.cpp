@@ -79,6 +79,14 @@ bool FaultInjector::fired_in_stage(FaultKind kind) const noexcept {
   return false;
 }
 
+std::uint64_t FaultInjector::fired_count(FaultKind kind) const noexcept {
+  std::uint64_t n = 0;
+  for (const PlanState& state : plans_) {
+    if (state.plan.kind == kind) n += state.fired;
+  }
+  return n;
+}
+
 bool FaultInjector::probe(FaultKind kind) {
   bool fire = false;
   for (PlanState& state : plans_) {

@@ -160,6 +160,9 @@ class FaultInjector {
   bool fired_in_stage(FaultKind kind) const noexcept;
   /// Total probe firings (all plans, all contexts).
   std::uint64_t fired_total() const noexcept { return fired_total_; }
+  /// Lifetime firings of `kind`'s plans. Unlike fired_in_stage() it moves
+  /// on every firing, so a difference brackets one unit of stage work.
+  std::uint64_t fired_count(FaultKind kind) const noexcept;
 
  private:
   struct PlanState {

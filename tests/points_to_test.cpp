@@ -2,6 +2,7 @@
 // and the Algorithm-1 callptr descent the resolved edges unlock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -339,6 +340,147 @@ entry:
   resolved.resolved_indirect = &ms.resolved_calls;
   const vuln::VulnerabilityAnalyzer with(*m, resolved);
   EXPECT_TRUE(handler_site_found(with.analyze_from(read, stack)));
+}
+
+// --- Cell split: one content node per cell where that is provably safe ---
+
+/// The `make_analysis_module` shape of bench/micro_perf.cpp as MiniIR
+/// text: worker i publishes its own buffer into @slots[i] and its own
+/// handler into @fptrs[i], reads both back and calls the handler.
+std::string analysis_module_text(int funcs) {
+  const auto n = std::to_string(funcs);
+  std::string out = "module static\nglobal @slots [" + n +
+                    "] = 0\nglobal @fptrs [" + n + "] = 0\n";
+  for (int i = 0; i < funcs; ++i) {
+    out += "func @handler" + std::to_string(i) +
+           "(ptr %p) -> i64 {\nentry:\n  %v = load %p\n  ret %v\n}\n";
+  }
+  for (int i = 0; i < funcs; ++i) {
+    const auto k = std::to_string(i);
+    out += "func @worker" + k + "() {\nentry:\n  %buf = alloca 4\n" +
+           "  %slot = gep @slots, " + k + "\n  %in = gep %buf, " +
+           std::to_string(i % 4) + "\n  store %in, %slot\n" +
+           "  %back = load %slot\n  %deep = load %back\n" +
+           "  %fslot = gep @fptrs, " + k + "\n  store @handler" + k +
+           ", %fslot\n  %f = load %fslot\n  %r = callptr %f(%back)\n" +
+           "  ret\n}\n";
+  }
+  out += "func @main() {\nentry:\n";
+  for (int i = 0; i < funcs; ++i) {
+    out += "  call @worker" + std::to_string(i) + "()\n";
+  }
+  return out + "  ret\n}\n";
+}
+
+TEST(PointsToCellSplitTest, EachWorkerSeesOnlyItsOwnSlot) {
+  constexpr int kFuncs = 8;
+  auto m = parse_ok(analysis_module_text(kFuncs));
+  const PointsTo pt(*m);
+  std::vector<PointsTo::ObjectId> bufs;
+  std::vector<PointsTo::ObjectId> handlers;
+  for (int i = 0; i < kFuncs; ++i) {
+    const ir::Function* worker =
+        m->find_function("worker" + std::to_string(i));
+    ir::Function* handler = m->find_function("handler" + std::to_string(i));
+    const PointsTo::ObjectId buf =
+        id_of(pt, find_instr(worker, ir::Opcode::kAlloca));
+    bufs.push_back(buf);
+    handlers.push_back(id_of(pt, handler));
+
+    // %back = load %slot: exactly this worker's buffer.
+    const ir::Instruction* back = find_instr(worker, ir::Opcode::kLoad, 0);
+    EXPECT_EQ(pt.points_to(back), std::vector<PointsTo::ObjectId>{buf});
+    EXPECT_FALSE(pt.is_unknown(back));
+    // callptr %f: exactly this worker's handler.
+    const ir::Instruction* callptr = find_instr(worker, ir::Opcode::kCallPtr);
+    EXPECT_EQ(pt.resolve_indirect(callptr),
+              std::vector<ir::Function*>{handler});
+    EXPECT_FALSE(pt.indirect_unresolved(callptr));
+  }
+  // The object-level view is still the union over the cells.
+  std::sort(bufs.begin(), bufs.end());
+  EXPECT_EQ(pt.object_points_to(id_of(pt, m->find_global("slots"))), bufs);
+  EXPECT_EQ(pt.object_points_to(id_of(pt, m->find_global("fptrs"))),
+            handlers);
+  EXPECT_FALSE(
+      pt.object_content_unknown(id_of(pt, m->find_global("slots"))));
+}
+
+/// @slots[0] holds @a and @slots[1] holds @b; %x loads cell 0. `init` is
+/// @slots' initializer and `extra` is appended to @main's entry block.
+std::string two_cell_module(const std::string& init,
+                            const std::string& extra) {
+  return "module m\nglobal @slots [2] = " + init +
+         "\nglobal @a\nglobal @b\nglobal @other\n"
+         "func @sink(ptr %p) {\nentry:\n  ret\n}\n"
+         "func @main() {\nentry:\n"
+         "  %s0 = gep @slots, 0\n  %s1 = gep @slots, 1\n"
+         "  store @a, %s0\n  store @b, %s1\n  %x = load %s0\n" +
+         extra + "  ret\n}\n";
+}
+
+TEST(PointsToCellSplitTest, ConstantInBoundsCellsSplit) {
+  auto m = parse_ok(two_cell_module("0", "  %y = load @slots\n"));
+  const PointsTo pt(*m);
+  const ir::Function* main_fn = m->find_function("main");
+  const PointsTo::ObjectId a = id_of(pt, m->find_global("a"));
+  const PointsTo::ObjectId b = id_of(pt, m->find_global("b"));
+  const std::vector<PointsTo::ObjectId> only_a{a};
+  // Through the gep and through the bare address (cell 0) alike.
+  EXPECT_EQ(pt.points_to(find_instr(main_fn, ir::Opcode::kLoad, 0)), only_a);
+  EXPECT_EQ(pt.points_to(find_instr(main_fn, ir::Opcode::kLoad, 1)), only_a);
+  // The address values themselves are unchanged by the split.
+  const PointsTo::ObjectId slots = id_of(pt, m->find_global("slots"));
+  EXPECT_EQ(pt.points_to(find_instr(main_fn, ir::Opcode::kGep, 1)),
+            std::vector<PointsTo::ObjectId>{slots});
+  EXPECT_EQ(pt.offset_range(find_instr(main_fn, ir::Opcode::kGep, 1)).lo, 1);
+  EXPECT_EQ(pt.object_points_to(slots),
+            (std::vector<PointsTo::ObjectId>{a, b}));
+}
+
+TEST(PointsToCellSplitTest, EscapingAddressKeepsObjectWhole) {
+  struct Case {
+    const char* name;
+    std::string init;
+    std::string extra;
+  };
+  const Case cases[] = {
+      {"variable-index gep", "0",
+       "  %i = input 0\n  %w = gep @slots, %i\n  %u = load %w\n"},
+      {"out-of-range gep", "0", "  %o = gep @slots, 2\n  %u = load %o\n"},
+      {"gep result stored as a value", "0", "  store %s1, @other\n"},
+      {"gep result passed to a call", "0", "  call @sink(%s1)\n"},
+      {"gep result merged through a phi", "0",
+       "  jmp next\nnext:\n  %m = phi [%s1, entry]\n  %u = load %m\n"},
+      {"unsafe initializer", "5000", ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto m = parse_ok(two_cell_module(c.init, c.extra));
+    const PointsTo pt(*m);
+    const PointsTo::ObjectId a = id_of(pt, m->find_global("a"));
+    const PointsTo::ObjectId b = id_of(pt, m->find_global("b"));
+    // The field-insensitive may-alias answer: cell 0 may hold either.
+    const ir::Instruction* x =
+        find_instr(m->find_function("main"), ir::Opcode::kLoad, 0);
+    EXPECT_EQ(pt.points_to(x), (std::vector<PointsTo::ObjectId>{a, b}));
+    EXPECT_EQ(pt.is_unknown(x), c.init != "0");
+  }
+}
+
+TEST(PointsToCellSplitTest, PropagationsScaleLinearlyInWorkers) {
+  // A work count, not a timer: with @slots and @fptrs split, each worker
+  // adds a constant number of propagations (field-insensitively it was
+  // one per worker per worker).
+  const auto propagations = [](int funcs) {
+    auto m = parse_ok(analysis_module_text(funcs));
+    return PointsTo(*m).stats().propagations;
+  };
+  const std::size_t small = propagations(64);
+  const std::size_t large = propagations(512);
+  ASSERT_GT(small, 0u);
+  EXPECT_LE(large, 10 * small) << "64 funcs: " << small
+                               << ", 512 funcs: " << large;
 }
 
 // --- LockFacts: the lockset machinery extracted from the prescreen ---

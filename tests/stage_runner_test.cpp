@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
+#include "support/log.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "vuln/hint.hpp"
@@ -183,6 +184,64 @@ TEST(StageRunnerTest, StageSpansMatchStageTimings) {
         "annotation", "predict", "race-verification", "vuln-analysis",
         "vuln-verification", "repair"}) {
     EXPECT_EQ(timed.count(stage), 1u) << stage;
+  }
+  support::metrics().clear_for_test();
+}
+
+// A stall or truncation injected into a verifier attempt burns that
+// attempt; a "not verified" from it is no evidence. The race passes
+// through unverified instead of counting as eliminated, and the stage
+// reports what degraded it.
+TEST(StageRunnerTest, InjectedVerifierFaultsDoNotHideRaces) {
+  const std::vector<Example> examples = {load_example(
+      std::filesystem::path(OWL_EXAMPLES_DIR) / "toctou.mir")};
+  const auto healthy = Pipeline().run_many(targets_of(examples));
+  ASSERT_EQ(healthy[0].counts.remaining, 1u);
+  ASSERT_EQ(healthy[0].counts.verifier_eliminated, 0u);
+  const struct {
+    const char* spec;
+    const char* summary;
+  } cases[] = {
+      {"race-verify:stall", "degraded(race-verification:scheduler-stall)"},
+      {"race-verify:truncate",
+       "degraded(race-verification:truncated-events)"},
+      {"vuln-verify:stall", "degraded(vuln-verification:scheduler-stall)"},
+      {"vuln-verify:truncate",
+       "degraded(vuln-verification:truncated-events)"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const auto faulted = run_with_fault(PipelineOptions{}, c.spec, examples, 1);
+    ASSERT_EQ(faulted.size(), 1u);
+    EXPECT_EQ(faulted[0].counts.remaining, 1u);
+    EXPECT_EQ(faulted[0].counts.verifier_eliminated, 0u);
+    EXPECT_EQ(faulted[0].counts.resilience_summary(), c.summary);
+  }
+  support::metrics().clear_for_test();
+}
+
+// Degradation warnings are logged once the results are final, in input
+// order, so a parallel run's log does not depend on worker timing.
+TEST(StageRunnerTest, DegradationWarningsFollowInputOrder) {
+  const std::vector<Example> examples = all_examples();
+  std::vector<std::string> captured;
+  LogSink previous = set_log_sink([&](LogLevel level, const std::string& line) {
+    if (level == LogLevel::kWarn) captured.push_back(line);
+  });
+  const auto results =
+      run_with_fault(PipelineOptions{}, "race-verify:throw", examples, 4);
+  set_log_sink(std::move(previous));
+  std::vector<std::string> expected;
+  for (const PipelineResult& result : results) {
+    for (const support::FailureRecord& record : result.counts.failures) {
+      expected.push_back(record.to_string());
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(captured.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NE(captured[i].find(expected[i]), std::string::npos)
+        << captured[i];
   }
   support::metrics().clear_for_test();
 }
